@@ -3,6 +3,7 @@
 from .errors import (
     CouplingTooLargeError,
     DegenerateBranchError,
+    EigensolverError,
     EmptyEigenspaceError,
     FormalPotentialError,
     ResourceLimitError,
@@ -43,6 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CouplingTooLargeError",
     "DegenerateBranchError",
+    "EigensolverError",
     "EigenspaceBasis",
     "EmptyEigenspaceError",
     "FormalPotentialError",

@@ -8,7 +8,8 @@ CSV) are byte-deterministic for identical invocations.
 
 Exit codes: 0 success (for `split`: fully split), 2 usage or argument
 error, 3 `split` ran but the eigenvalue did not fully split, 4 the
-oracle could not isolate the perturbed cluster (coupling too large).
+oracle could not isolate the perturbed cluster (coupling too large),
+5 the eigensolver did not converge or missed its accuracy contract.
 """
 from __future__ import annotations
 
@@ -19,13 +20,14 @@ import numpy as np
 
 from . import fixtures, galerkin, lattice, perturbation, reports
 from .eigensolve import symmetric_eigen
-from .errors import CouplingTooLargeError
+from .errors import CouplingTooLargeError, EigensolverError
 from .potential import DEFAULT_TRUNCATION, PotentialSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_SPLIT = 3
 EXIT_COUPLING = 4
+EXIT_EIGENSOLVER = 5
 
 
 def _parse_alpha(text: str) -> tuple[float, ...]:
@@ -424,6 +426,9 @@ def main(argv=None) -> int:
     except CouplingTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COUPLING
+    except EigensolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EIGENSOLVER
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,7 +3,10 @@
 Small matrices go through a hand-rolled cyclic Jacobi iteration, which
 keeps full relative accuracy on the nearly-diagonal matrices produced
 upstream (off-diagonal entries down at the exp(-36) scale).  Large
-matrices fall back to LAPACK via numpy.  Either way the result is
+matrices fall back to LAPACK via numpy; if its divide-and-conquer
+iteration does not converge reading the lower triangle, it is retried
+once on the upper triangle, which holds the same values but goes
+through a different tridiagonal reduction.  Either way the result is
 post-processed to a single deterministic convention and verified
 against the residual and orthogonality tolerances before it is
 returned.
@@ -15,6 +18,8 @@ index on ties) is positive.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import EigensolverError
 
 # Above this size a full Jacobi pass in Python costs more than it buys;
 # LAPACK takes over behind the same contract checks.
@@ -68,15 +73,31 @@ def _jacobi(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(A).copy(), Q
 
 
+def _lapack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh, retried on the upper triangle if it does not converge."""
+    try:
+        return np.linalg.eigh(A)
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        return np.linalg.eigh(A, UPLO="U")
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(
+            f"LAPACK eigh did not converge on either triangle of an order-{A.shape[0]} "
+            f"matrix: {exc}"
+        ) from exc
+
+
 def symmetric_eigen(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a real symmetric matrix.
 
     Returns (w, Q) with eigenvalues w ascending and orthonormal
     eigenvector columns Q[:, i], deterministically signed.  Raises
     ValueError for non-square, non-finite, or non-symmetric input
-    (symmetry is required to 1e-12 relative), and RuntimeError if the
-    computed decomposition misses the residual or orthogonality
-    tolerance `tol` (scaled by max(1, max|A|)).
+    (symmetry is required to 1e-12 relative), and EigensolverError (a
+    RuntimeError) if LAPACK does not converge or the computed
+    decomposition misses the residual or orthogonality tolerance `tol`
+    (scaled by max(1, max|A|)).
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -95,7 +116,7 @@ def symmetric_eigen(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
     if m <= JACOBI_MAX_DIM:
         w, Q = _jacobi(A)
     else:
-        w, Q = np.linalg.eigh(A)
+        w, Q = _lapack(A)
 
     order = np.argsort(w, kind="stable")
     w = w[order]
@@ -109,7 +130,7 @@ def symmetric_eigen(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
     ortho = float(np.abs(Q.T @ Q - np.eye(m)).max())
     bound = tol * scale
     if residual > bound or ortho > tol:
-        raise RuntimeError(
+        raise EigensolverError(
             f"eigendecomposition failed its contract: residual {residual:.3e} "
             f"(bound {bound:.3e}), orthogonality {ortho:.3e} (bound {tol:.3e})"
         )

@@ -19,3 +19,7 @@ class CouplingTooLargeError(RuntimeError):
 
 class ResourceLimitError(ValueError):
     """Requested computation exceeds the configured desk-scale limits."""
+
+
+class EigensolverError(RuntimeError):
+    """Eigendecomposition did not converge or missed its accuracy contract."""

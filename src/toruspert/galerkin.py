@@ -18,7 +18,7 @@ import numpy as np
 from . import perturbation
 from .eigensolve import symmetric_eigen
 from .errors import CouplingTooLargeError, ResourceLimitError
-from .lattice import LatticeVector, lattice_box, multiplicity
+from .lattice import LatticeVector, lattice_box
 from .potential import PotentialSpec
 
 MAX_BASIS_SIZE = 20000
@@ -182,6 +182,13 @@ def _cluster_near(op: GalerkinOperator, lambda0: int, m: int) -> np.ndarray:
     The m eigenvalues nearest lambda0 must be separated from every
     other eigenvalue by at least half the unperturbed spectral gap
     around lambda0 within the box.
+
+    The cluster values are refined by Rayleigh-Ritz on their own
+    eigenvectors.  A full eigensolve is accurate only to about
+    eps_mach * max|H|, and the largest diagonal entry of H grows as
+    cutoff^2; the eigenvectors are localized near |k|^2 = lambda0, so
+    the projected m x m matrix carries errors on the scale of lambda0
+    instead, and the small eigensolve keeps that accuracy.
     """
     P = np.array(op.basis, dtype=np.int64)
     sq = (P * P).sum(axis=1)
@@ -198,10 +205,13 @@ def _cluster_near(op: GalerkinOperator, lambda0: int, m: int) -> np.ndarray:
         gaps.append(float(levels[pos + 1] - lambda0))
     half_gap = min(gaps) / 2.0
 
-    w, _ = symmetric_eigen(op.matrix)
+    w, Q = symmetric_eigen(op.matrix)
     order = np.lexsort((w, np.abs(w - float(lambda0))))
-    inside = np.sort(w[order[:m]])
-    outside = np.delete(w, order[:m])
+    near = np.sort(order[:m])
+    Qc = Q[:, near]
+    G = Qc.T @ (op.matrix @ Qc)
+    inside, _ = symmetric_eigen((G + G.T) / 2.0)
+    outside = np.delete(w, near)
     if outside.size:
         separation = float(np.abs(outside[:, None] - inside[None, :]).min())
         if separation < half_gap:

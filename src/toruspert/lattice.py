@@ -8,6 +8,12 @@ while `representations` lists the canonical unsigned nondecreasing
 tuples; expanding a representation over coordinate permutations and
 sign choices recovers the signed count.
 
+All three enumerators recurse over the coordinates in order and solve
+the last one in closed form: once the earlier coordinates leave a
+remainder r, the last coordinate is +-isqrt(r) when r is a perfect
+square and absent otherwise, so no loop runs over it.  Everything stays
+exact integer arithmetic on Python ints.
+
 Eigenspace bases are always listed in ascending lexicographic order of
 the frequency vectors, which fixes row/column conventions everywhere
 downstream.
@@ -48,8 +54,11 @@ def _check_lambda(lambda0: int) -> None:
 
 @lru_cache(maxsize=None)
 def _signed_count(rem: int, slots: int) -> int:
-    if slots == 0:
-        return 1 if rem == 0 else 0
+    if slots == 1:
+        s = math.isqrt(rem)
+        if s * s != rem:
+            return 0
+        return 2 if s else 1
     r = math.isqrt(rem)
     total = _signed_count(rem, slots - 1)
     total += 2 * sum(_signed_count(rem - a * a, slots - 1) for a in range(1, r + 1))
@@ -68,8 +77,9 @@ def multiplicity(lambda0: int, n: int) -> int:
 
 
 def _representations(rem: int, slots: int, lo: int) -> list[LatticeVector]:
-    if slots == 0:
-        return [()] if rem == 0 else []
+    if slots == 1:
+        a = math.isqrt(rem)
+        return [(a,)] if a * a == rem and a >= lo else []
     out = []
     a = lo
     while slots * a * a <= rem:
@@ -92,8 +102,11 @@ def representations(lambda0: int, n: int) -> list[LatticeVector]:
 
 
 def _signed_vectors(rem: int, slots: int) -> list[LatticeVector]:
-    if slots == 0:
-        return [()] if rem == 0 else []
+    if slots == 1:
+        s = math.isqrt(rem)
+        if s * s != rem:
+            return []
+        return [(-s,), (s,)] if s else [(0,)]
     out = []
     r = math.isqrt(rem)
     for a in range(-r, r + 1):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .eigensolve import symmetric_eigen
 from .errors import DegenerateBranchError, ResourceLimitError
-from .lattice import EigenspaceBasis, eigenspace, lattice_box, squared_norm
-from .potential import PotentialSpec, fourier_coefficient
+from .lattice import EigenspaceBasis, eigenspace, lattice_box
+from .potential import PotentialSpec
 
 # Hard cap on resolvent-box size; beyond this the dense sums stop being
 # a desk-scale computation.
@@ -51,21 +51,28 @@ class PerturbationMatrix:
 
 
 def assemble_first_order(spec: PotentialSpec, basis: EigenspaceBasis) -> PerturbationMatrix:
-    """Build the secular matrix for `spec` on `basis` (in basis order)."""
+    """Build the secular matrix for `spec` on `basis` (in basis order).
+
+    Every entry is bit-identical to `fourier_coefficient(spec, k_u - k_v)`:
+    the exponent is summed in coordinate order from 0.0 with the same
+    float operations, and `math.exp` (not `np.exp`, which can differ by
+    an ulp) is applied once per distinct exponent.  The diagonal, the
+    only place where k_u - k_v = 0, follows the constant convention.
+    """
     if spec.n != basis.n:
         raise ValueError(
             f"potential dimension {spec.n} != eigenspace dimension {basis.n}"
         )
-    freqs = basis.frequencies
-    m = len(freqs)
-    entries = np.empty((m, m))
-    for u in range(m):
-        ku = freqs[u]
-        for v in range(m):
-            kv = freqs[v]
-            entries[u, v] = fourier_coefficient(
-                spec, tuple(a - b for a, b in zip(ku, kv))
-            )
+    m = basis.multiplicity
+    K = np.array(basis.frequencies, dtype=np.int64).reshape(m, basis.n)
+    W = np.zeros((m, m))
+    for j, a in enumerate(spec.alpha):
+        d = K[:, j, None] - K[None, :, j]
+        W += a * (d * d)
+    exponents, inverse = np.unique(W, return_inverse=True)
+    values = np.array([math.exp(-w) for w in exponents.tolist()])
+    entries = values[inverse.reshape(m, m)]
+    entries[np.diag_indices(m)] = 0.0 if spec.subtract_constant else 1.0
     return PerturbationMatrix(
         lambda0=basis.lambda0, basis=basis, entries=entries, spec=spec
     )

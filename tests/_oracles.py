@@ -23,6 +23,20 @@ def box_multiplicities(lambda_max: int, n: int) -> np.ndarray:
     return np.bincount(total[keep], minlength=lambda_max + 1)
 
 
+def sphere_points(lambda0: int, n: int) -> list[tuple[int, ...]]:
+    """Every k in Z^n with |k|^2 = lambda0, sorted, as tuples of Python ints.
+
+    Filters the whole cube [-r, r]^n (r = isqrt(lambda0)) with numpy and
+    sorts the survivors, instead of recursing over coordinates.
+    """
+    r = math.isqrt(lambda0)
+    side = np.arange(-r, r + 1, dtype=np.int64)
+    grids = np.meshgrid(*([side] * n), indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    keep = (points * points).sum(axis=1) == lambda0
+    return sorted(tuple(row) for row in points[keep].tolist())
+
+
 def naive_potential_value(alpha, x, subtract_constant: bool, truncation: int) -> float:
     """Direct cosine-series sum over the whole frequency box."""
     n = len(alpha)

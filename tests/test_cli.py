@@ -10,6 +10,7 @@ import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import toruspert
@@ -232,6 +233,40 @@ def test_oracle_coupling_too_large_exits_four(capsys):
     )
     assert code == 4
     assert "not isolated" in err
+
+
+def test_oracle_eigensolver_failure_exits_five(capsys, monkeypatch):
+    def eigh(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    # order 2 * 70 + 1 = 141 goes to LAPACK
+    code, out, err = run(
+        capsys, "oracle", "--lambda", "1", "--n", "1", "--alpha", "1",
+        "--eps", "1e-3", "--cutoff", "70", "--no-cutoff-check",
+    )
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: ") and "did not converge" in err
+
+
+def test_oracle_lapack_nonconvergence_reproducer():
+    # With one BLAS thread, LAPACK's eigh does not converge on the lower
+    # triangle of one of these Galerkin matrices; the upper-triangle retry
+    # must carry the run to a passing report.
+    env = subprocess_env()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "toruspert.cli", "oracle", "--n", "2",
+         "--lambda", "9", "--alpha", "1.2427167955487168,0.8119018848840768",
+         "--diag", "one", "--eps", "1e-3,1e-4,1e-5", "--cutoff", "8", "--json"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["passed"] is True
+    assert payload["cutoff_converged"] is True
 
 
 def test_oracle_rejects_ascending_eps(capsys):

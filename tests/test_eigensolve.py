@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruspert import symmetric_eigen
+from toruspert import EigensolverError, symmetric_eigen
 from toruspert.eigensolve import JACOBI_MAX_DIM, _jacobi
 
 
@@ -122,3 +122,49 @@ def test_input_validation():
     A = np.array([[1.0, 1.0], [1.0 + 1e-14, 1.0]])
     w, _ = symmetric_eigen(A)
     assert w == pytest.approx([0.0, 2.0], abs=1e-13)
+
+
+def _eigh_failing_on(monkeypatch, triangles):
+    """Make np.linalg.eigh raise LinAlgError for the given UPLO values."""
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def eigh(a, UPLO="L"):
+        calls.append(UPLO)
+        if UPLO in triangles:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(a, UPLO=UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls
+
+
+def test_lapack_retries_upper_triangle(monkeypatch):
+    m = JACOBI_MAX_DIM + 12
+    A = _random_symmetric(m, 6)
+    calls = _eigh_failing_on(monkeypatch, {"L"})
+    w, Q = symmetric_eigen(A)
+    assert calls == ["L", "U"]
+    assert np.allclose(w, np.linalg.eigvalsh(A), atol=1e-11, rtol=0)
+    assert float(np.abs(A @ Q - Q * w).max()) <= 1e-10 * max(1.0, np.abs(A).max())
+    assert float(np.abs(Q.T @ Q - np.eye(m)).max()) <= 1e-10
+
+
+def test_lapack_failing_on_both_triangles_raises(monkeypatch):
+    A = _random_symmetric(JACOBI_MAX_DIM + 1, 7)
+    calls = _eigh_failing_on(monkeypatch, {"L", "U"})
+    with pytest.raises(EigensolverError, match="did not converge") as info:
+        symmetric_eigen(A)
+    assert calls == ["L", "U"]
+    assert isinstance(info.value, RuntimeError)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_missed_contract_raises_eigensolver_error(monkeypatch):
+    A = _random_symmetric(JACOBI_MAX_DIM + 1, 8)
+    m = A.shape[0]
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a, UPLO="L": (np.zeros(m), np.eye(m))
+    )
+    with pytest.raises(EigensolverError, match="contract"):
+        symmetric_eigen(A)

@@ -69,6 +69,26 @@ def test_circle_validation_passes():
     assert t.ok
 
 
+@pytest.mark.parametrize(
+    "alpha,subtract_constant,eps,cutoff",
+    [
+        (1.3846692728648238, True, [1e-3, 1e-4], 90),
+        (1.9000027731007898, False, [1e-2, 1e-3], 150),
+    ],
+)
+def test_cutoff_check_passes_on_converged_large_boxes(
+    alpha, subtract_constant, eps, cutoff
+):
+    # Orders 181-305 go through LAPACK, whose raw eigenvalue error grows
+    # with the cutoff^2 diagonal; the refined cluster must still agree
+    # between cutoff and cutoff + 2 under the unchanged 1e-12 test.
+    spec = PotentialSpec(n=1, alpha=(alpha,), subtract_constant=subtract_constant)
+    val = validate_first_order(spec, 4, 1, eps, cutoff=cutoff)
+    assert val.cutoff_shift < 1e-12
+    assert val.cutoff_converged is True
+    assert val.passed
+
+
 def test_circle_cluster_tracks_predictions():
     rep = first_order_corrections(CIRCLE, 1, 1)
     val = validate_first_order(CIRCLE, 1, 1, [1e-3], cutoff=8)

@@ -16,7 +16,7 @@ from toruspert import (
     squared_norm,
 )
 
-from _oracles import box_multiplicities
+from _oracles import box_multiplicities, sphere_points
 
 KNOWN_MULTIPLICITIES = [
     (325, 2, 24),
@@ -168,3 +168,44 @@ def test_lattice_box_order_and_count():
     ]
     assert len(lattice_box(3, 2)) == 125
     assert lattice_box(1, 0) == [(0,)]
+
+
+# Largest eigenvalue drawn per dimension: keeps the box oracle's cube
+# (2 isqrt(lambda) + 1)^n below about 10^5 points.
+_DIFF_MAX_LAMBDA = {1: 10**6, 2: 2500, 3: 400, 4: 60}
+
+
+def _assert_matches_sphere(lam, n):
+    expected = sphere_points(lam, n)
+    if not expected:
+        assert multiplicity(lam, n) == 0
+        with pytest.raises(EmptyEigenspaceError):
+            eigenspace(lam, n)
+        return
+    freqs = eigenspace(lam, n).frequencies
+    assert list(freqs) == expected
+    assert list(freqs) == sorted(freqs)
+    assert all(type(c) is int for k in freqs for c in k)
+    assert multiplicity(lam, n) == len(expected)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=4))
+def test_eigenspace_matches_sorted_box_enumeration(data, n):
+    lam = data.draw(st.integers(min_value=0, max_value=_DIFF_MAX_LAMBDA[n]))
+    _assert_matches_sphere(lam, n)
+
+
+@pytest.mark.parametrize("lam,n", [(300005, 2), (4012, 3), (299997, 2), (2002, 3)])
+def test_eigenspace_matches_box_at_benchmark_sizes(lam, n):
+    _assert_matches_sphere(lam, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=4))
+def test_representations_match_sorted_box_enumeration(data, n):
+    lam = data.draw(st.integers(min_value=0, max_value=_DIFF_MAX_LAMBDA[n]))
+    canonical = sorted({tuple(sorted(abs(c) for c in k)) for k in sphere_points(lam, n)})
+    reps = representations(lam, n)
+    assert reps == canonical
+    assert all(type(c) is int for r in reps for c in r)

@@ -17,6 +17,7 @@ from toruspert import (
     eigenspace,
     eigenvector_correction_coefficients,
     first_order_corrections,
+    fourier_coefficient,
     second_order_corrections,
     symmetric_eigen,
 )
@@ -289,3 +290,52 @@ def test_resolvent_box_capped():
     rep = first_order_corrections(spec, 1, 4)
     with pytest.raises(ResourceLimitError):
         second_order_corrections(spec, 1, 4, rep.eigenvectors, cutoff=20)
+
+
+def _secular_matrix_loop(spec, basis):
+    """Reference secular matrix: one `fourier_coefficient` call per entry."""
+    freqs = basis.frequencies
+    m = len(freqs)
+    entries = np.empty((m, m))
+    for u in range(m):
+        for v in range(m):
+            entries[u, v] = fourier_coefficient(
+                spec, tuple(a - b for a, b in zip(freqs[u], freqs[v]))
+            )
+    return entries
+
+
+_ASSEMBLY_ALPHAS = {
+    1: [(1.0,), (1.3846692728648238,), (0.0,)],
+    2: [(1.0, 2.0), (1.2427167955487168, 0.8119018848840768), (0.0, 1.7)],
+    3: [(0.97, 1.41, 1.83), (1.9, 0.8, 1.15), (0.0, 1.3, 0.9)],
+    4: [(1.0, 1.3, 0.9, 1.1), (0.85, 1.9, 1.25, 1.6), (1.2, 0.0, 0.0, 1.4)],
+}
+
+
+@pytest.mark.parametrize(
+    "lam,n",
+    [(1, 1), (4, 1), (0, 2), (5, 2), (325, 2), (300005, 2), (9, 3), (4012, 3),
+     (6, 4), (10, 4), (21, 4)],
+)
+def test_assembly_is_bit_identical_to_coefficient_loop(lam, n):
+    basis = eigenspace(lam, n)
+    for alpha in _ASSEMBLY_ALPHAS[n]:
+        for subtract_constant in (True, False):
+            spec = PotentialSpec(n=n, alpha=alpha, subtract_constant=subtract_constant)
+            entries = assemble_first_order(spec, basis).entries
+            expected = _secular_matrix_loop(spec, basis)
+            assert entries.shape == expected.shape
+            assert entries.dtype == expected.dtype
+            assert entries.tobytes() == expected.tobytes()
+
+
+def test_formal_assembly_keeps_unit_coefficients_off_the_diagonal():
+    # With alpha_0 = 0, k_u - k_v = (t, 0, 0) has exponent 0 for t != 0: the
+    # coefficient there is 1.0 while the diagonal follows the convention.
+    spec = PotentialSpec(n=3, alpha=(0.0, 1.3, 0.9), subtract_constant=True)
+    basis = eigenspace(9, 3)
+    entries = assemble_first_order(spec, basis).entries
+    off = ~np.eye(basis.multiplicity, dtype=bool)
+    assert (entries[off] == 1.0).sum() > 0
+    assert np.all(np.diag(entries) == 0.0)
