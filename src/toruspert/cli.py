@@ -9,7 +9,8 @@ CSV) are byte-deterministic for identical invocations.
 Exit codes: 0 success (for `split`: fully split), 2 usage or argument
 error, 3 `split` ran but the eigenvalue did not fully split, 4 the
 oracle could not isolate the perturbed cluster (coupling too large),
-5 the eigensolver did not converge or missed its accuracy contract.
+5 the eigensolver did not converge or missed its accuracy contract,
+6 the requested computation exceeds the desk-scale resource limits.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import fixtures, galerkin, lattice, perturbation, reports
 from .eigensolve import symmetric_eigen
-from .errors import CouplingTooLargeError, EigensolverError
+from .errors import CouplingTooLargeError, EigensolverError, ResourceLimitError
 from .potential import DEFAULT_TRUNCATION, PotentialSpec
 
 EXIT_OK = 0
@@ -28,6 +29,7 @@ EXIT_USAGE = 2
 EXIT_NOT_SPLIT = 3
 EXIT_COUPLING = 4
 EXIT_EIGENSOLVER = 5
+EXIT_RESOURCE = 6
 
 
 def _parse_alpha(text: str) -> tuple[float, ...]:
@@ -429,6 +431,10 @@ def main(argv=None) -> int:
     except EigensolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EIGENSOLVER
+    except ResourceLimitError as exc:
+        # Caught before ValueError, which it subclasses for library callers.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

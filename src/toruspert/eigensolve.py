@@ -29,7 +29,10 @@ _MAX_SWEEPS = 60
 
 
 def _jacobi(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic-by-rows Jacobi on a symmetric matrix; returns (diag, Q)."""
+    """Cyclic-by-rows Jacobi on a symmetric matrix; returns (diag, Q).
+
+    Raises EigensolverError if a sweep still rotates after _MAX_SWEEPS.
+    """
     A = A.copy()
     m = A.shape[0]
     Q = np.eye(m)
@@ -70,6 +73,11 @@ def _jacobi(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 Q[:, q] = s * qp + c * qq
         if not rotated:
             break
+    else:
+        raise EigensolverError(
+            f"Jacobi iteration on an order-{m} matrix was still rotating after "
+            f"{_MAX_SWEEPS} sweeps"
+        )
     return np.diag(A).copy(), Q
 
 
@@ -95,7 +103,7 @@ def symmetric_eigen(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
     eigenvector columns Q[:, i], deterministically signed.  Raises
     ValueError for non-square, non-finite, or non-symmetric input
     (symmetry is required to 1e-12 relative), and EigensolverError (a
-    RuntimeError) if LAPACK does not converge or the computed
+    RuntimeError) if LAPACK or Jacobi does not converge or the computed
     decomposition misses the residual or orthogonality tolerance `tol`
     (scaled by max(1, max|A|)).
     """

@@ -149,7 +149,7 @@ class GalerkinValidation:
             "subtract_constant": self.spec.subtract_constant,
             "cutoff": self.cutoff,
             "multiplicity": self.multiplicity,
-            "first_order": [float(x) for x in self.first_order],
+            "first_order": self.first_order.tolist(),
             "rows": [
                 {
                     "epsilon": row.epsilon,

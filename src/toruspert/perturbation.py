@@ -119,16 +119,13 @@ class SplittingReport:
             "subtract_constant": self.matrix.spec.subtract_constant,
             "multiplicity": self.multiplicity,
             "basis": [list(k) for k in self.matrix.basis.frequencies],
-            "corrections": [float(c) for c in self.corrections],
+            "corrections": self.corrections.tolist(),
             "min_gap": float(self.min_gap) if math.isfinite(self.min_gap) else None,
             "gap_tolerance": float(self.gap_tolerance),
             "verdict": self.verdict,
             "clusters": [list(c) for c in self.clusters],
-            "eigenvectors": [
-                [float(x) for x in self.eigenvectors[:, i]]
-                for i in range(self.eigenvectors.shape[1])
-            ],
-            "matrix": [[float(x) for x in row] for row in self.matrix.entries],
+            "eigenvectors": self.eigenvectors.T.tolist(),
+            "matrix": self.matrix.entries.tolist(),
         }
 
 

@@ -250,6 +250,18 @@ def test_oracle_eigensolver_failure_exits_five(capsys, monkeypatch):
     assert err.startswith("error: ") and "did not converge" in err
 
 
+def test_oracle_refused_size_exits_six(capsys):
+    # (2 * 100 + 1) ** 2 = 40401 modes exceed MAX_BASIS_SIZE; the size is
+    # refused before the truncated operator is allocated.
+    code, out, err = run(
+        capsys, "oracle", "--lambda", "5", "--n", "2", "--alpha", "1,2",
+        "--eps", "1e-3", "--cutoff", "100",
+    )
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error: ") and "40401 modes" in err
+
+
 def test_oracle_lapack_nonconvergence_reproducer():
     # With one BLAS thread, LAPACK's eigh does not converge on the lower
     # triangle of one of these Galerkin matrices; the upper-triangle retry

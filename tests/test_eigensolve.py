@@ -168,3 +168,11 @@ def test_missed_contract_raises_eigensolver_error(monkeypatch):
     )
     with pytest.raises(EigensolverError, match="contract"):
         symmetric_eigen(A)
+
+
+def test_jacobi_out_of_sweeps_raises(monkeypatch):
+    A = _random_symmetric(6, 9)
+    symmetric_eigen(A)  # converges within the default sweep limit
+    monkeypatch.setattr("toruspert.eigensolve._MAX_SWEEPS", 1)
+    with pytest.raises(EigensolverError, match="after 1 sweeps"):
+        symmetric_eigen(A)
