@@ -22,7 +22,7 @@ import numpy as np
 from . import fixtures, galerkin, lattice, perturbation, reports
 from .eigensolve import symmetric_eigen
 from .errors import CouplingTooLargeError, EigensolverError, ResourceLimitError
-from .potential import DEFAULT_TRUNCATION, PotentialSpec
+from .potential import PotentialSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -109,13 +109,7 @@ def _spec_from(opts: _Options, n: int) -> PotentialSpec:
     diag = opts.get("diag", "zero")
     if diag not in ("zero", "one"):
         raise ValueError(f"--diag must be 'zero' or 'one', got {diag!r}")
-    truncation = int(opts.get("truncation", DEFAULT_TRUNCATION, int))
-    return PotentialSpec(
-        n=n,
-        alpha=alpha,
-        subtract_constant=(diag == "zero"),
-        eval_truncation=truncation,
-    )
+    return PotentialSpec(n=n, alpha=alpha, subtract_constant=(diag == "zero"))
 
 
 def cmd_multiplicity(args) -> int:
@@ -383,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constant-term convention (default zero)")
     p.add_argument("--gap-tol", dest="gap_tol", type=float,
                    help="cluster tolerance (default 1e-9 scaled)")
-    p.add_argument("--truncation", type=int, help="evaluation box half-width")
     p.add_argument("--format", choices=("pretty", "json", "csv"))
     p.add_argument("--matrix-csv", dest="matrix_csv",
                    help="also write the secular matrix as CSV to this file")
@@ -399,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated couplings, strictly descending")
     p.add_argument("--cutoff", type=int, help="truncation box half-width")
     p.add_argument("--gap-tol", dest="gap_tol", type=float)
-    p.add_argument("--truncation", type=int)
     p.add_argument("--no-cutoff-check", action="store_true",
                    help="skip the cutoff+2 robustness rerun")
     p.add_argument("--plot-data", dest="plot_data",

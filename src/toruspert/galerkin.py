@@ -19,7 +19,7 @@ from . import perturbation
 from .eigensolve import symmetric_eigen
 from .errors import CouplingTooLargeError, ResourceLimitError
 from .lattice import LatticeVector, lattice_box
-from .potential import PotentialSpec
+from .potential import PotentialSpec, coefficient_exponents
 
 MAX_BASIS_SIZE = 20000
 
@@ -46,8 +46,9 @@ def assemble_galerkin(
     """Build the truncated operator on the box max_j |m_j| <= cutoff.
 
     The basis is in ascending lex order; entry (m, m') is
-    |m|^2 [m = m'] + eps * c(m - m').  Requires 0 <= eps < 1 and a
-    basis of at most 20000 modes.
+    |m|^2 [m = m'] + eps * c(m - m'), with c from the potential's own
+    `coefficient_exponents`.  Requires 0 <= eps < 1 and a basis of at
+    most 20000 modes.
     """
     if n != spec.n:
         raise ValueError(f"dimension argument {n} != potential dimension {spec.n}")
@@ -65,11 +66,7 @@ def assemble_galerkin(
     basis = lattice_box(n, cutoff)
     P = np.array(basis, dtype=np.int64)
     sq = (P * P).sum(axis=1).astype(float)
-    W = np.zeros((size, size))
-    for j, a in enumerate(spec.alpha):
-        d = P[:, j, None] - P[None, :, j]
-        W += a * (d * d)
-    H = np.exp(-W)
+    H = np.exp(-coefficient_exponents(spec, P, P))
     if spec.subtract_constant:
         np.fill_diagonal(H, 0.0)
     H *= epsilon

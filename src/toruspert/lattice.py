@@ -8,11 +8,16 @@ while `representations` lists the canonical unsigned nondecreasing
 tuples; expanding a representation over coordinate permutations and
 sign choices recovers the signed count.
 
-All three enumerators recurse over the coordinates in order and solve
-the last one in closed form: once the earlier coordinates leave a
-remainder r, the last coordinate is +-isqrt(r) when r is a perfect
-square and absent otherwise, so no loop runs over it.  Everything stays
-exact integer arithmetic on Python ints.
+`eigenspace` is derived from `representations`: each canonical tuple
+is expanded over its distinct coordinate orderings and the signs of
+its nonzero entries, and the union is sorted once.  Counting is kept
+separate from listing, because a count costs far less than the list it
+counts: `multiplicity` and `spectrum_up_to` use a memoized counter
+whose memo lives for one call.  Both recursions run over the
+coordinates in order and solve the last one in closed form: once the
+earlier coordinates leave a remainder r, the last coordinate is
++-isqrt(r) when r is a perfect square and absent otherwise, so no loop
+runs over it.  Everything stays exact integer arithmetic on Python ints.
 
 Eigenspace bases are always listed in ascending lexicographic order of
 the frequency vectors, which fixes row/column conventions everywhere
@@ -23,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import EmptyEigenspaceError
 
@@ -52,16 +56,20 @@ def _check_lambda(lambda0: int) -> None:
         raise ValueError(f"eigenvalue must be non-negative, got {lambda0}")
 
 
-@lru_cache(maxsize=None)
-def _signed_count(rem: int, slots: int) -> int:
+def _signed_count(rem: int, slots: int, memo: dict) -> int:
     if slots == 1:
         s = math.isqrt(rem)
         if s * s != rem:
             return 0
         return 2 if s else 1
-    r = math.isqrt(rem)
-    total = _signed_count(rem, slots - 1)
-    total += 2 * sum(_signed_count(rem - a * a, slots - 1) for a in range(1, r + 1))
+    total = memo.get((rem, slots))
+    if total is None:
+        total = _signed_count(rem, slots - 1, memo)
+        total += 2 * sum(
+            _signed_count(rem - a * a, slots - 1, memo)
+            for a in range(1, math.isqrt(rem) + 1)
+        )
+        memo[rem, slots] = total
     return total
 
 
@@ -73,7 +81,7 @@ def multiplicity(lambda0: int, n: int) -> int:
     """
     _check_lambda(lambda0)
     _check_dimension(n)
-    return _signed_count(lambda0, n)
+    return _signed_count(lambda0, n, {})
 
 
 def _representations(rem: int, slots: int, lo: int) -> list[LatticeVector]:
@@ -101,17 +109,15 @@ def representations(lambda0: int, n: int) -> list[LatticeVector]:
     return _representations(lambda0, n, 0)
 
 
-def _signed_vectors(rem: int, slots: int) -> list[LatticeVector]:
-    if slots == 1:
-        s = math.isqrt(rem)
-        if s * s != rem:
-            return []
-        return [(-s,), (s,)] if s else [(0,)]
+def _orderings(values: LatticeVector) -> list[LatticeVector]:
+    """Distinct orderings of a nondecreasing tuple, in ascending lex order."""
+    if len(values) <= 1:
+        return [values]
     out = []
-    r = math.isqrt(rem)
-    for a in range(-r, r + 1):
-        for tail in _signed_vectors(rem - a * a, slots - 1):
-            out.append((a,) + tail)
+    for i, a in enumerate(values):
+        if i and values[i - 1] == a:
+            continue
+        out.extend((a,) + tail for tail in _orderings(values[:i] + values[i + 1:]))
     return out
 
 
@@ -153,12 +159,19 @@ class EigenspaceBasis:
 def eigenspace(lambda0: int, n: int) -> EigenspaceBasis:
     """Eigenspace basis for eigenvalue lambda0 in dimension n.
 
-    Frequencies come out in ascending lexicographic order.  Raises
-    EmptyEigenspaceError when lambda0 is not a sum of n squares.
+    Every canonical representation is expanded over its distinct
+    coordinate orderings and the signs of its nonzero entries; the
+    frequencies are then sorted once into ascending lexicographic order.
+    Raises EmptyEigenspaceError when lambda0 is not a sum of n squares.
     """
     _check_lambda(lambda0)
     _check_dimension(n)
-    vectors = _signed_vectors(lambda0, n)
+    vectors = sorted(
+        k
+        for rep in _representations(lambda0, n, 0)
+        for ordering in _orderings(rep)
+        for k in itertools.product(*[(-c, c) if c else (0,) for c in ordering])
+    )
     if not vectors:
         raise EmptyEigenspaceError(
             f"{lambda0} is not a sum of {n} squares; the eigenspace is empty"
@@ -180,8 +193,9 @@ def spectrum_up_to(lambda_max: int, n: int) -> list[tuple[int, int]]:
     _check_lambda(lambda_max)
     _check_dimension(n)
     out = []
+    memo: dict = {}
     for lam in range(lambda_max + 1):
-        m = _signed_count(lam, n)
+        m = _signed_count(lam, n, memo)
         if m > 0:
             out.append((lam, m))
     return out

@@ -20,11 +20,17 @@ import numpy as np
 from .eigensolve import symmetric_eigen
 from .errors import DegenerateBranchError, ResourceLimitError
 from .lattice import EigenspaceBasis, eigenspace, lattice_box
-from .potential import PotentialSpec
+from .potential import PotentialSpec, coefficient_exponents
 
 # Hard cap on resolvent-box size; beyond this the dense sums stop being
 # a desk-scale computation.
 MAX_BOX_POINTS = 2_000_000
+
+# Largest eigenspace whose secular matrix is assembled.  A split run
+# peaks at about 256 bytes per matrix entry (exponents, np.unique, the
+# eigensolve and the rendered report), so 4096 modes need about 4.3 GB.
+MAX_MULTIPLICITY = 4096
+_BYTES_PER_ENTRY = 256
 
 FULLY_SPLIT = "fully_split"
 PARTIALLY_SPLIT = "partially_split"
@@ -54,21 +60,26 @@ def assemble_first_order(spec: PotentialSpec, basis: EigenspaceBasis) -> Perturb
     """Build the secular matrix for `spec` on `basis` (in basis order).
 
     Every entry is bit-identical to `fourier_coefficient(spec, k_u - k_v)`:
-    the exponent is summed in coordinate order from 0.0 with the same
+    the exponents come from `coefficient_exponents`, which does the same
     float operations, and `math.exp` (not `np.exp`, which can differ by
     an ulp) is applied once per distinct exponent.  The diagonal, the
     only place where k_u - k_v = 0, follows the constant convention.
+    Eigenspaces of more than MAX_MULTIPLICITY modes raise
+    ResourceLimitError before anything m x m is allocated.
     """
     if spec.n != basis.n:
         raise ValueError(
             f"potential dimension {spec.n} != eigenspace dimension {basis.n}"
         )
     m = basis.multiplicity
+    if m > MAX_MULTIPLICITY:
+        raise ResourceLimitError(
+            f"eigenspace of {basis.lambda0} in dimension {basis.n} has {m} modes "
+            f"(limit {MAX_MULTIPLICITY}); its {m} x {m} secular matrix would peak "
+            f"at about {_BYTES_PER_ENTRY * m * m / 1e9:.1f} GB"
+        )
     K = np.array(basis.frequencies, dtype=np.int64).reshape(m, basis.n)
-    W = np.zeros((m, m))
-    for j, a in enumerate(spec.alpha):
-        d = K[:, j, None] - K[None, :, j]
-        W += a * (d * d)
+    W = coefficient_exponents(spec, K, K)
     exponents, inverse = np.unique(W, return_inverse=True)
     values = np.array([math.exp(-w) for w in exponents.tolist()])
     entries = values[inverse.reshape(m, m)]
@@ -227,11 +238,7 @@ def _resolvent_data(spec, lambda0, n, branches, cutoff):
     denom = lambda0 - sq[outside].astype(float)
 
     K = np.array(basis.frequencies, dtype=np.int64)
-    W = np.zeros((points.shape[0], m))
-    for j, a in enumerate(spec.alpha):
-        d = points[:, j, None] - K[None, :, j]
-        W += a * (d * d)
-    coeff = np.exp(-W)
+    coeff = np.exp(-coefficient_exponents(spec, points, K))
     # c_i(m) = sum_v branch[v, i] * c(m - k_v); t = 0 never occurs here
     # because every box point has |m|^2 != lambda0.
     C = coeff @ B
@@ -329,10 +336,8 @@ def eigenvector_correction_coefficients(
     )
     mu = report.corrections
     coupling = C.T @ (C / denom[:, None])
-    m = len(mu)
-    beta = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                beta[i, j] = coupling[j, i] / (mu[i] - mu[j])
+    gaps = mu[:, None] - mu[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    beta = coupling.T / gaps
+    np.fill_diagonal(beta, 0.0)
     return beta

@@ -91,6 +91,34 @@ def fourier_coefficient(spec: PotentialSpec, t) -> float:
     return math.exp(-s)
 
 
+def coefficient_exponents(spec: PotentialSpec, rows, cols) -> np.ndarray:
+    """Exponent matrix W[i, k] = sum_j alpha_j (rows[i, j] - cols[k, j])^2.
+
+    `rows` and `cols` are int64 arrays of frequencies, one per row, so
+    the coefficient at rows[i] - cols[k] is exp(-W[i, k]) wherever the
+    difference is nonzero.  The sum runs in coordinate order from 0.0,
+    which is exactly the float arithmetic of `fourier_coefficient`;
+    callers apply their own exp and constant-term convention.
+    """
+    if rows.shape[1] != spec.n or cols.shape[1] != spec.n:
+        raise ValueError(
+            f"frequency arrays have {rows.shape[1]} and {cols.shape[1]} "
+            f"coordinates; the potential has dimension {spec.n}"
+        )
+    # Two scratch arrays reused over the coordinates instead of three
+    # fresh temporaries per coordinate: at Galerkin orders in the
+    # thousands each one is tens of MB of page faults.
+    W = np.zeros((rows.shape[0], cols.shape[0]))
+    d = np.empty(W.shape, dtype=np.int64)
+    term = np.empty(W.shape)
+    for j, a in enumerate(spec.alpha):
+        np.subtract.outer(rows[:, j], cols[:, j], out=d)
+        np.multiply(d, d, out=d)
+        np.multiply(d, a, out=term)
+        W += term
+    return W
+
+
 def _require_evaluable(spec: PotentialSpec) -> None:
     if spec.is_formal:
         dirs = ", ".join(str(j) for j in spec.flat_directions)

@@ -29,6 +29,7 @@ from toruspert import (
 from toruspert.fixtures import diff, get_case
 from toruspert.lattice import EigenspaceBasis
 
+from _env import subprocess_env
 from _oracles import box_multiplicities, fit_through_origin, quadrature_coefficient
 
 KNOWN_MULTIPLICITIES = [
@@ -79,7 +80,7 @@ def test_criterion_2_circle_split_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "toruspert.cli", "split",
          "--n", "1", "--lambda", "1", "--alpha", "1", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     elapsed = time.monotonic() - t0
     payload = json.loads(proc.stdout) if proc.returncode == 0 else {}

@@ -7,31 +7,18 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import toruspert
 from toruspert.cli import main
 
+from _env import subprocess_env
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
-
-
-def subprocess_env():
-    """Environment for a child Python that runs the package under test.
-
-    ``PYTHONPATH`` leads with the directory holding the ``toruspert`` package
-    this suite imported, so a child process runs the same code whether or not
-    the package is installed or the caller exported ``PYTHONPATH``.
-    """
-    env = dict(os.environ)
-    package_root = str(Path(toruspert.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-    return env
 
 
 def run(capsys, *argv):
@@ -260,6 +247,33 @@ def test_oracle_refused_size_exits_six(capsys):
     assert code == 6
     assert out == ""
     assert err.startswith("error: ") and "40401 modes" in err
+
+
+def test_split_refused_size_exits_six(capsys):
+    # lambda = 30 on T^6 has 14144 modes, above MAX_MULTIPLICITY; the
+    # secular matrix is refused before it is allocated.
+    t0 = time.monotonic()
+    code, out, err = run(
+        capsys, "split", "--lambda", "30", "--n", "6",
+        "--alpha", "1.1,0.9,1.3,0.95,1.2,0.8",
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error: ") and "14144 modes" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["split", "--lambda", "1", "--n", "1", "--alpha", "1"],
+     ["oracle", "--lambda", "1", "--n", "1", "--alpha", "1", "--eps", "1e-3",
+      "--cutoff", "8"]],
+)
+def test_truncation_flag_is_rejected(argv):
+    # Neither subcommand evaluates the potential in real space.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--truncation", "5"])
+    assert exc.value.code == 2
 
 
 def test_oracle_lapack_nonconvergence_reproducer():

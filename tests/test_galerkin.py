@@ -174,3 +174,36 @@ def test_report_serialization():
     assert len(fan) == 4
     assert fan[0] == (1e-2, 0, val.rows[0].eigenvalues[0])
     assert fan[3] == (1e-3, 1, val.rows[1].eigenvalues[1])
+
+
+def _galerkin_matrix_longhand(spec, epsilon, basis):
+    """Reference operator: exponents summed entry by entry, then np.exp."""
+    size = len(basis)
+    W = np.empty((size, size))
+    for i, p in enumerate(basis):
+        for k, q in enumerate(basis):
+            s = 0.0
+            for a, pj, qj in zip(spec.alpha, p, q):
+                s += a * ((pj - qj) * (pj - qj))
+            W[i, k] = s
+    H = np.exp(-W)
+    if spec.subtract_constant:
+        np.fill_diagonal(H, 0.0)
+    H *= epsilon
+    H[np.diag_indices(size)] += [float(sum(c * c for c in p)) for p in basis]
+    return H
+
+
+@pytest.mark.parametrize(
+    "alpha,cutoff",
+    [((1.3846692728648238,), 7), ((1.2427167955487168, 0.8119018848840768), 3),
+     ((0.97, 1.41, 1.83), 2), ((0.0, 1.3, 0.9), 2)],
+)
+def test_operator_is_bit_identical_to_longhand_exponents(alpha, cutoff):
+    n = len(alpha)
+    for subtract_constant in (True, False):
+        spec = PotentialSpec(n=n, alpha=alpha, subtract_constant=subtract_constant)
+        op = assemble_galerkin(spec, n, 3e-3, cutoff)
+        expected = _galerkin_matrix_longhand(spec, 3e-3, op.basis)
+        assert op.matrix.dtype == expected.dtype
+        assert op.matrix.tobytes() == expected.tobytes()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,3 +210,27 @@ def test_representations_match_sorted_box_enumeration(data, n):
     reps = representations(lam, n)
     assert reps == canonical
     assert all(type(c) is int for r in reps for c in r)
+
+
+# Small eigenvalues in high dimensions: most canonical tuples repeat an
+# entry (zeros above all), so these cases exercise the distinct-ordering
+# expansion.  Each bound keeps the oracle's cube below about 4 * 10^5 points.
+_HIGH_DIM_MAX_LAMBDA = {5: 24, 6: 15, 7: 8, 8: 8}
+
+
+@pytest.mark.parametrize("n", sorted(_HIGH_DIM_MAX_LAMBDA))
+def test_eigenspace_matches_sorted_box_enumeration_high_dimensions(n):
+    for lam in range(_HIGH_DIM_MAX_LAMBDA[n] + 1):
+        _assert_matches_sphere(lam, n)
+
+
+@pytest.mark.parametrize("lam,n,expected", [(200000, 3, 744), (10000, 4, 18744)])
+def test_counter_memo_is_released_after_each_call(lam, n, expected):
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert multiplicity(lam, n) == expected
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 256 * 1024

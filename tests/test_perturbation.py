@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from toruspert import perturbation
 from toruspert import (
     DegenerateBranchError,
     EigenspaceBasis,
@@ -285,6 +287,14 @@ def test_dimension_mismatch_rejected():
         first_order_corrections(CIRCLE, 1, 1, gap_tolerance=0.0)
 
 
+def test_resolvent_sums_reject_mismatched_potential():
+    rep = first_order_corrections(TORUS2, 1, 2)
+    with pytest.raises(ValueError, match="dimension 1"):
+        eigenvector_correction_coefficients(CIRCLE, 1, 2, rep, cutoff=4)
+    with pytest.raises(ValueError, match="dimension 1"):
+        second_order_corrections(CIRCLE, 1, 2, rep.eigenvectors, cutoff=4)
+
+
 def test_resolvent_box_capped():
     spec = PotentialSpec(n=4, alpha=(1.0, 1.0, 1.0, 1.0))
     rep = first_order_corrections(spec, 1, 4)
@@ -339,3 +349,46 @@ def test_formal_assembly_keeps_unit_coefficients_off_the_diagonal():
     off = ~np.eye(basis.multiplicity, dtype=bool)
     assert (entries[off] == 1.0).sum() > 0
     assert np.all(np.diag(entries) == 0.0)
+
+
+def _branch_mixing_loop(coupling, mu):
+    """Reference branch mixing: one division per off-diagonal pair."""
+    m = len(mu)
+    beta = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                beta[i, j] = coupling[j, i] / (mu[i] - mu[j])
+    return beta
+
+
+@pytest.mark.parametrize(
+    "lam,alpha",
+    [(1, (1.0, 2.0)), (5, (0.97, 1.41, 1.83)), (2, (1.0, 1.3, 0.9, 1.1)),
+     (9, (1.9, 0.8, 1.15))],
+)
+def test_branch_mixing_is_bit_identical_to_pair_loop(lam, alpha):
+    n = len(alpha)
+    for subtract_constant in (True, False):
+        spec = PotentialSpec(n=n, alpha=alpha, subtract_constant=subtract_constant)
+        rep = first_order_corrections(spec, lam, n)
+        beta = eigenvector_correction_coefficients(spec, lam, n, rep)
+        _, _, C, denom, _ = perturbation._resolvent_data(
+            spec, lam, n, rep.eigenvectors, None
+        )
+        expected = _branch_mixing_loop(C.T @ (C / denom[:, None]), rep.corrections)
+        assert beta.tobytes() == expected.tobytes()
+
+
+def test_oversized_eigenspace_refused_before_assembly():
+    # m = 14144 > MAX_MULTIPLICITY: the 14144 x 14144 secular matrix would
+    # need tens of GB, so assembly refuses before allocating it.
+    spec = PotentialSpec(n=6, alpha=(1.1, 0.9, 1.3, 0.95, 1.2, 0.8))
+    basis = eigenspace(30, 6)
+    assert basis.multiplicity == 14144 > perturbation.MAX_MULTIPLICITY
+    t0 = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="14144 modes"):
+        assemble_first_order(spec, basis)
+    with pytest.raises(ResourceLimitError, match="limit 4096"):
+        first_order_corrections(spec, 30, 6)
+    assert time.monotonic() - t0 < 1.0

@@ -14,6 +14,7 @@ from toruspert import (
     evaluate_batch,
     fourier_coefficient,
 )
+from toruspert.potential import coefficient_exponents
 
 from _oracles import naive_potential_value, quadrature_coefficient
 
@@ -152,3 +153,33 @@ def test_spec_validation():
         fourier_coefficient(PotentialSpec(n=2, alpha=(1.0, 1.0)), (1, 2, 3))
     with pytest.raises(ValueError):
         evaluate(PotentialSpec(n=2, alpha=(1.0, 1.0)), [0.1, 0.2, 0.3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    alpha=st.lists(
+        st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=4
+    ),
+)
+def test_coefficient_exponents_match_scalar_coefficient(data, alpha):
+    n = len(alpha)
+    spec = PotentialSpec(n=n, alpha=tuple(alpha))
+    freq = st.lists(st.integers(-40, 40), min_size=n, max_size=n)
+    rows = np.array(data.draw(st.lists(freq, min_size=1, max_size=6)), dtype=np.int64)
+    cols = np.array(data.draw(st.lists(freq, min_size=1, max_size=6)), dtype=np.int64)
+    W = coefficient_exponents(spec, rows, cols)
+    assert W.shape == (len(rows), len(cols))
+    for i, p in enumerate(rows.tolist()):
+        for k, q in enumerate(cols.tolist()):
+            t = tuple(a - b for a, b in zip(p, q))
+            if any(t):
+                assert math.exp(-W[i, k]) == fourier_coefficient(spec, t)
+            else:
+                assert W[i, k] == 0.0
+
+
+def test_coefficient_exponents_reject_wrong_dimension():
+    spec = PotentialSpec(n=2, alpha=(1.0, 2.0))
+    with pytest.raises(ValueError, match="dimension 2"):
+        coefficient_exponents(spec, np.zeros((3, 3), np.int64), np.zeros((2, 2), np.int64))
