@@ -27,6 +27,8 @@ JACOBI_MAX_DIM = 128
 
 _MAX_SWEEPS = 60
 
+CONTRACT_TOL = 1e-10
+
 
 def _jacobi(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic-by-rows Jacobi on a symmetric matrix; returns (diag, Q).
@@ -96,7 +98,7 @@ def _lapack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def symmetric_eigen(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a real symmetric matrix.
 
     Returns (w, Q) with eigenvalues w ascending and orthonormal
@@ -104,8 +106,8 @@ def symmetric_eigen(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
     ValueError for non-square, non-finite, or non-symmetric input
     (symmetry is required to 1e-12 relative), and EigensolverError (a
     RuntimeError) if LAPACK or Jacobi does not converge or the computed
-    decomposition misses the residual or orthogonality tolerance `tol`
-    (scaled by max(1, max|A|)).
+    decomposition misses the residual or orthogonality tolerance
+    CONTRACT_TOL (the residual one scaled by max(1, max|A|)).
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -136,10 +138,10 @@ def symmetric_eigen(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
 
     residual = float(np.abs(A @ Q - Q * w).max())
     ortho = float(np.abs(Q.T @ Q - np.eye(m)).max())
-    bound = tol * scale
-    if residual > bound or ortho > tol:
+    bound = CONTRACT_TOL * scale
+    if residual > bound or ortho > CONTRACT_TOL:
         raise EigensolverError(
             f"eigendecomposition failed its contract: residual {residual:.3e} "
-            f"(bound {bound:.3e}), orthogonality {ortho:.3e} (bound {tol:.3e})"
+            f"(bound {bound:.3e}), orthogonality {ortho:.3e} (bound {CONTRACT_TOL:.3e})"
         )
     return w, Q

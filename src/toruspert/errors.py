@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size check."""
+
+# Peak-memory budget behind every size refusal: 4 GiB, what a split of
+# a 4096-mode eigenspace reaches at 256 bytes per secular-matrix entry,
+# which leaves room for the interpreter and the OS on a 7 GB machine.
+MEMORY_BUDGET = 4 * 2**30
 
 
 class EmptyEigenspaceError(ValueError):
@@ -19,6 +24,20 @@ class CouplingTooLargeError(RuntimeError):
 
 class ResourceLimitError(ValueError):
     """Requested computation exceeds the configured desk-scale limits."""
+
+
+def check_size(what: str, count: int, unit: str, limit: int, peak_bytes: int) -> None:
+    """Refuse work whose size `count` exceeds `limit`, before it allocates.
+
+    `peak_bytes` is the predicted peak memory of the work; the
+    ResourceLimitError message states the count, the limit and that
+    prediction.
+    """
+    if count > limit:
+        raise ResourceLimitError(
+            f"{what} has {count} {unit} (limit {limit}); "
+            f"it would peak at about {peak_bytes / 1e9:.1f} GB"
+        )
 
 
 class EigensolverError(RuntimeError):

@@ -31,6 +31,8 @@ from .potential import PotentialSpec
 
 _E = math.exp
 
+DIFF_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class ReferenceCase:
@@ -193,11 +195,11 @@ class EntryDiscrepancy:
     definitional: float
 
 
-def diff(case: ReferenceCase, tolerance: float = 1e-12) -> list[EntryDiscrepancy]:
+def diff(case: ReferenceCase) -> list[EntryDiscrepancy]:
     """Entrywise disagreement of the printed table with the definition.
 
     Indices are 0-based; an empty list means print and definition agree
-    to `tolerance` (relative to the larger magnitude, absolute below 1).
+    to DIFF_TOLERANCE (relative to the larger magnitude, absolute below 1).
     """
     defn = definition_matrix(case)
     if case.printed.shape != defn.shape:
@@ -209,6 +211,6 @@ def diff(case: ReferenceCase, tolerance: float = 1e-12) -> list[EntryDiscrepancy
     for i in range(defn.shape[0]):
         for j in range(defn.shape[1]):
             p, d = float(case.printed[i, j]), float(defn[i, j])
-            if abs(p - d) > tolerance * max(1.0, abs(p), abs(d)):
+            if abs(p - d) > DIFF_TOLERANCE * max(1.0, abs(p), abs(d)):
                 out.append(EntryDiscrepancy(row=i, col=j, printed=p, definitional=d))
     return out

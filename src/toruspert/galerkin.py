@@ -17,11 +17,16 @@ import numpy as np
 
 from . import perturbation
 from .eigensolve import symmetric_eigen
-from .errors import CouplingTooLargeError, ResourceLimitError
-from .lattice import LatticeVector, lattice_box
+from .errors import MEMORY_BUDGET, CouplingTooLargeError, check_size
+from .lattice import LatticeVector, box_points
 from .potential import PotentialSpec, coefficient_exponents
 
-MAX_BASIS_SIZE = 20000
+# Largest truncation basis.  An oracle run peaks at about 51-59 bytes
+# per matrix entry (the operator, the previous coupling's operator, the
+# exponent kernel's scratch and the eigensolve's work arrays; measured
+# at N = 729-2197), rounded up to 64: 8192 modes fill the budget.
+_BYTES_PER_ENTRY = 64
+MAX_BASIS_SIZE = math.isqrt(MEMORY_BUDGET // _BYTES_PER_ENTRY)
 
 
 @dataclass(frozen=True)
@@ -45,26 +50,18 @@ def assemble_galerkin(
 ) -> GalerkinOperator:
     """Build the truncated operator on the box max_j |m_j| <= cutoff.
 
-    The basis is in ascending lex order; entry (m, m') is
-    |m|^2 [m = m'] + eps * c(m - m'), with c from the potential's own
-    `coefficient_exponents`.  Requires 0 <= eps < 1 and a basis of at
-    most 20000 modes.
+    The basis is the box's `box_points`, in ascending lex order; entry
+    (m, m') is |m|^2 [m = m'] + eps * c(m - m'), with c from the
+    potential's own `coefficient_exponents`.  Requires 0 <= eps < 1 and
+    a basis of at most MAX_BASIS_SIZE modes.
     """
     if n != spec.n:
         raise ValueError(f"dimension argument {n} != potential dimension {spec.n}")
     epsilon = float(epsilon)
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must satisfy 0 <= eps < 1, got {epsilon}")
-    if not isinstance(cutoff, int) or cutoff < 1:
-        raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
-    size = (2 * cutoff + 1) ** n
-    if size > MAX_BASIS_SIZE:
-        raise ResourceLimitError(
-            f"truncated basis has {size} modes (limit {MAX_BASIS_SIZE}); "
-            "reduce the cutoff or the dimension"
-        )
-    basis = lattice_box(n, cutoff)
-    P = np.array(basis, dtype=np.int64)
+    size = _check_truncation(n, cutoff)
+    P = box_points(n, cutoff)
     sq = (P * P).sum(axis=1).astype(float)
     H = np.exp(-coefficient_exponents(spec, P, P))
     if spec.subtract_constant:
@@ -73,8 +70,20 @@ def assemble_galerkin(
     H[np.diag_indices(size)] += sq
     return GalerkinOperator(
         spec=spec, n=n, epsilon=epsilon, cutoff=cutoff,
-        basis=tuple(basis), matrix=H,
+        basis=tuple(map(tuple, P.tolist())), matrix=H,
     )
+
+
+def _check_truncation(n: int, cutoff: int) -> int:
+    """Size of the box of half-width `cutoff`; refuses it beyond MAX_BASIS_SIZE."""
+    if not isinstance(cutoff, int) or cutoff < 1:
+        raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
+    size = (2 * cutoff + 1) ** n
+    check_size(
+        "truncated basis", size, "modes", MAX_BASIS_SIZE,
+        _BYTES_PER_ENTRY * size * size,
+    )
+    return size
 
 
 def eigen_near(op: GalerkinOperator, lambda0: int, count: int) -> np.ndarray:
@@ -187,7 +196,7 @@ def _cluster_near(op: GalerkinOperator, lambda0: int, m: int) -> np.ndarray:
     the projected m x m matrix carries errors on the scale of lambda0
     instead, and the small eigensolve keeps that accuracy.
     """
-    P = np.array(op.basis, dtype=np.int64)
+    P = box_points(op.n, op.cutoff)
     sq = (P * P).sum(axis=1)
     if int((sq == lambda0).sum()) != m:
         raise ValueError(
@@ -238,7 +247,8 @@ def validate_first_order(
     errors are already at the 1e-12 floor.  eps = 0 rows are trivial
     (exact degeneracy, zero error).  Unless the potential is formal, the
     largest-coupling cluster is recomputed at cutoff + 2 and must move
-    by less than 1e-12.
+    by less than 1e-12.  Both box sizes are checked against
+    MAX_BASIS_SIZE before anything is computed.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
@@ -247,6 +257,10 @@ def validate_first_order(
         raise ValueError("every epsilon must satisfy 0 <= eps < 1")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be strictly descending")
+    rerun = check_cutoff and not spec.is_formal
+    _check_truncation(spec.n, cutoff)
+    if rerun:
+        _check_truncation(spec.n, cutoff + 2)
 
     report = perturbation.first_order_corrections(
         spec, lambda0, n, gap_tolerance=gap_tolerance
@@ -301,7 +315,7 @@ def validate_first_order(
             "formal potential (zero decay weight in some direction): no continuum "
             "limit; cluster values depend on the cutoff and its check is skipped"
         )
-    elif check_cutoff:
+    elif rerun:
         eps_ref = max(e for e in eps_list)
         ref_row = next(r for r in rows if r.epsilon == eps_ref)
         op2 = assemble_galerkin(spec, n, eps_ref, cutoff + 2)

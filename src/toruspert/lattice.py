@@ -10,7 +10,9 @@ sign choices recovers the signed count.
 
 `eigenspace` is derived from `representations`: each canonical tuple
 is expanded over its distinct coordinate orderings and the signs of
-its nonzero entries, and the union is sorted once.  Counting is kept
+its nonzero entries, and the union is sorted once.  The size of that
+expansion is known exactly from the tuples alone, so an eigenspace
+too large to list is refused before a single vector exists.  Counting is kept
 separate from listing, because a count costs far less than the list it
 counts: `multiplicity` and `spectrum_up_to` use a memoized counter
 whose memo lives for one call.  Both recursions run over the
@@ -21,7 +23,9 @@ runs over it.  Everything stays exact integer arithmetic on Python ints.
 
 Eigenspace bases are always listed in ascending lexicographic order of
 the frequency vectors, which fixes row/column conventions everywhere
-downstream.
+downstream.  The sup-norm box that truncates resolvent sums and the
+Galerkin oracle is built once, by `box_points`, as an int64 array in
+the same order; `lattice_box` is its tuple view.
 """
 from __future__ import annotations
 
@@ -29,10 +33,21 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyEigenspaceError
+import numpy as np
+
+from .errors import EmptyEigenspaceError, check_size
 
 # Enumeration is exact integer arithmetic; the cap only bounds runtime.
 MAX_DIMENSION = 8
+
+# Largest eigenspace that is listed.  A listed vector costs about 200
+# bytes (tuple, list and tuple slots, the basis's duplicate-check set;
+# measured 140-195 B for n = 4-8) and about 4 us.  Every consumer of a
+# basis refuses more than perturbation.MAX_MULTIPLICITY = 4096 modes,
+# so the cap only keeps larger listings for inspection under about
+# 0.2 GB and a few seconds.
+MAX_EIGENSPACE_MODES = 2**20
+_BYTES_PER_VECTOR = 200
 
 LatticeVector = tuple[int, ...]
 
@@ -109,6 +124,18 @@ def representations(lambda0: int, n: int) -> list[LatticeVector]:
     return _representations(lambda0, n, 0)
 
 
+def _expansion_size(values: LatticeVector) -> int:
+    """Signed orderings of a nondecreasing tuple.
+
+    n! / prod(count of each value)! distinct orderings, times 2 per
+    nonzero entry for its sign.
+    """
+    size = math.factorial(len(values))
+    for _, run in itertools.groupby(values):
+        size //= math.factorial(len(tuple(run)))
+    return size << sum(1 for a in values if a)
+
+
 def _orderings(values: LatticeVector) -> list[LatticeVector]:
     """Distinct orderings of a nondecreasing tuple, in ascending lex order."""
     if len(values) <= 1:
@@ -152,9 +179,6 @@ class EigenspaceBasis:
     def multiplicity(self) -> int:
         return len(self.frequencies)
 
-    def index_of(self, k: LatticeVector) -> int:
-        return self.frequencies.index(tuple(k))
-
 
 def eigenspace(lambda0: int, n: int) -> EigenspaceBasis:
     """Eigenspace basis for eigenvalue lambda0 in dimension n.
@@ -162,13 +186,21 @@ def eigenspace(lambda0: int, n: int) -> EigenspaceBasis:
     Every canonical representation is expanded over its distinct
     coordinate orderings and the signs of its nonzero entries; the
     frequencies are then sorted once into ascending lexicographic order.
-    Raises EmptyEigenspaceError when lambda0 is not a sum of n squares.
+    Raises EmptyEigenspaceError when lambda0 is not a sum of n squares,
+    and ResourceLimitError, before listing, when the eigenspace has more
+    than MAX_EIGENSPACE_MODES vectors.
     """
     _check_lambda(lambda0)
     _check_dimension(n)
+    reps = _representations(lambda0, n, 0)
+    count = sum(map(_expansion_size, reps))
+    check_size(
+        f"eigenspace of {lambda0} in dimension {n}", count, "modes",
+        MAX_EIGENSPACE_MODES, count * _BYTES_PER_VECTOR,
+    )
     vectors = sorted(
         k
-        for rep in _representations(lambda0, n, 0)
+        for rep in reps
         for ordering in _orderings(rep)
         for k in itertools.product(*[(-c, c) if c else (0,) for c in ordering])
     )
@@ -179,13 +211,23 @@ def eigenspace(lambda0: int, n: int) -> EigenspaceBasis:
     return EigenspaceBasis(lambda0=lambda0, n=n, frequencies=tuple(vectors))
 
 
-def lattice_box(n: int, radius: int) -> list[LatticeVector]:
-    """All k in Z^n with max_j |k_j| <= radius, in ascending lex order."""
+def box_points(n: int, radius: int) -> np.ndarray:
+    """All k in Z^n with max_j |k_j| <= radius, as int64 rows in ascending lex order.
+
+    The first coordinate varies slowest (an "ij" meshgrid), so row i is
+    the i-th tuple of itertools.product(range(-radius, radius + 1), repeat=n).
+    """
     _check_dimension(n)
     if not isinstance(radius, int) or radius < 0:
         raise ValueError(f"radius must be a non-negative integer, got {radius!r}")
-    side = range(-radius, radius + 1)
-    return list(itertools.product(side, repeat=n))
+    side = np.arange(-radius, radius + 1, dtype=np.int64)
+    grids = np.meshgrid(*([side] * n), indexing="ij", copy=False)
+    return np.stack(grids, axis=-1).reshape(-1, n)
+
+
+def lattice_box(n: int, radius: int) -> list[LatticeVector]:
+    """`box_points` as a list of tuples of Python ints, in the same order."""
+    return list(map(tuple, box_points(n, radius).tolist()))
 
 
 def spectrum_up_to(lambda_max: int, n: int) -> list[tuple[int, int]]:

@@ -8,7 +8,10 @@ perturbed operator and its eigenvectors pick the branch basis inside
 the eigenspace.  Second-order corrections and first-order eigenvector
 mixing are resolvent sums over lattice modes outside the eigenspace,
 truncated to a sup-norm box whose tail is negligible for genuinely
-decaying coefficients.
+decaying coefficients.  Both come from one pass over the box
+(`_resolvent_pass`), which returns the branch coefficients C[p, i] and
+the denominators lambda0 - |p|^2; second order is the diagonal of the
+coupling C^T (C / denom) and the mixing its off-diagonal.
 """
 from __future__ import annotations
 
@@ -18,19 +21,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import symmetric_eigen
-from .errors import DegenerateBranchError, ResourceLimitError
-from .lattice import EigenspaceBasis, eigenspace, lattice_box
+from .errors import MEMORY_BUDGET, DegenerateBranchError, check_size
+from .lattice import EigenspaceBasis, box_points, eigenspace
 from .potential import PotentialSpec, coefficient_exponents
+
+# Largest eigenspace whose secular matrix is assembled.  A split run
+# peaks at about 256 bytes per matrix entry (exponents, np.unique, the
+# eigensolve and the rendered report), so 4096 modes fill the budget.
+_BYTES_PER_ENTRY = 256
+MAX_MULTIPLICITY = math.isqrt(MEMORY_BUDGET // _BYTES_PER_ENTRY)
 
 # Hard cap on resolvent-box size; beyond this the dense sums stop being
 # a desk-scale computation.
 MAX_BOX_POINTS = 2_000_000
 
-# Largest eigenspace whose secular matrix is assembled.  A split run
-# peaks at about 256 bytes per matrix entry (exponents, np.unique, the
-# eigensolve and the rendered report), so 4096 modes need about 4.3 GB.
-MAX_MULTIPLICITY = 4096
-_BYTES_PER_ENTRY = 256
+# Largest resolvent sum, counted as box points x branches.  The pass
+# peaks at about 27 bytes per entry (the exponent kernel's three
+# box x m arrays plus the box itself; measured at 2M and 9.4M entries),
+# rounded up to 32: at most 134M entries fit the budget.
+_RESOLVENT_BYTES_PER_ENTRY = 32
+MAX_RESOLVENT_ENTRIES = MEMORY_BUDGET // _RESOLVENT_BYTES_PER_ENTRY
 
 FULLY_SPLIT = "fully_split"
 PARTIALLY_SPLIT = "partially_split"
@@ -72,12 +82,10 @@ def assemble_first_order(spec: PotentialSpec, basis: EigenspaceBasis) -> Perturb
             f"potential dimension {spec.n} != eigenspace dimension {basis.n}"
         )
     m = basis.multiplicity
-    if m > MAX_MULTIPLICITY:
-        raise ResourceLimitError(
-            f"eigenspace of {basis.lambda0} in dimension {basis.n} has {m} modes "
-            f"(limit {MAX_MULTIPLICITY}); its {m} x {m} secular matrix would peak "
-            f"at about {_BYTES_PER_ENTRY * m * m / 1e9:.1f} GB"
-        )
+    check_size(
+        f"eigenspace of {basis.lambda0} in dimension {basis.n}", m, "modes",
+        MAX_MULTIPLICITY, _BYTES_PER_ENTRY * m * m,
+    )
     K = np.array(basis.frequencies, dtype=np.int64).reshape(m, basis.n)
     W = coefficient_exponents(spec, K, K)
     exponents, inverse = np.unique(W, return_inverse=True)
@@ -201,13 +209,16 @@ def default_resolvent_cutoff(lambda0: int) -> int:
     return max(math.ceil(3.0 * math.sqrt(lambda0)), 8)
 
 
-def _resolvent_data(spec, lambda0, n, branches, cutoff):
-    """Shared box sums: coefficients c_i(m) and denominators lambda0 - |m|^2."""
-    basis = eigenspace(lambda0, n)
-    m = basis.multiplicity
-    B = np.asarray(branches, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
+def _resolvent_pass(spec, basis, B, cutoff):
+    """One pass over the resolvent box: returns (C, denom).
+
+    C[p, i] = sum_v B[v, i] c(p - k_v) for every box point p with
+    |p|^2 != lambda0 (ascending lex order) and denom[p] = lambda0 - |p|^2.
+    Checks the branch matrix (one row per basis vector, orthonormal
+    columns), the cutoff (an integer of at least sqrt(lambda0) + 1) and
+    the box size, the last before anything box-sized is allocated.
+    """
+    lambda0, n, m = basis.lambda0, basis.n, basis.multiplicity
     if B.ndim != 2 or B.shape[0] != m:
         raise ValueError(
             f"branch array must have {m} rows (one per basis frequency), got {B.shape}"
@@ -216,8 +227,6 @@ def _resolvent_data(spec, lambda0, n, branches, cutoff):
     if np.abs(gram - np.eye(B.shape[1])).max() > 1e-10:
         raise ValueError("branch vectors must be orthonormal")
 
-    if cutoff is None:
-        cutoff = default_resolvent_cutoff(lambda0)
     if not isinstance(cutoff, int) or cutoff < 1:
         raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
     if cutoff < math.sqrt(lambda0) + 1.0:
@@ -225,13 +234,14 @@ def _resolvent_data(spec, lambda0, n, branches, cutoff):
             f"cutoff {cutoff} too small: must be at least sqrt(lambda0) + 1"
         )
     n_points = (2 * cutoff + 1) ** n
-    if n_points > MAX_BOX_POINTS:
-        raise ResourceLimitError(
-            f"resolvent box has {n_points} points (limit {MAX_BOX_POINTS}); "
-            "reduce the cutoff or the dimension"
-        )
+    peak = _RESOLVENT_BYTES_PER_ENTRY * n_points * m
+    check_size("resolvent box", n_points, "points", MAX_BOX_POINTS, peak)
+    check_size(
+        f"resolvent sum over {n_points} box points x {m} modes", n_points * m,
+        "entries", MAX_RESOLVENT_ENTRIES, peak,
+    )
 
-    points = np.array(lattice_box(n, cutoff), dtype=np.int64)
+    points = box_points(n, cutoff)
     sq = (points * points).sum(axis=1)
     outside = sq != lambda0
     points = points[outside]
@@ -242,7 +252,7 @@ def _resolvent_data(spec, lambda0, n, branches, cutoff):
     # c_i(m) = sum_v branch[v, i] * c(m - k_v); t = 0 never occurs here
     # because every box point has |m|^2 != lambda0.
     C = coeff @ B
-    return basis, B, C, denom, cutoff
+    return C, denom
 
 
 def _tail_estimate(spec, lambda0, n, basis, cutoff):
@@ -270,22 +280,28 @@ def second_order_corrections(
     n: int,
     branches,
     cutoff: int | None = None,
-    gap_tolerance: float | None = None,
 ) -> SecondOrderCorrections:
     """Resolvent-sum second-order corrections for the given branches.
 
     `branches` holds orthonormal secular eigenvectors as columns.  The
     sum runs over lattice modes with |m|^2 != lambda0 inside the
-    sup-norm box of half-width `cutoff` (default max(3 sqrt(lambda0), 8)).
-    Branches whose first-order corrections collide within the gap
-    tolerance are rejected: the formula needs distinct first-order
+    sup-norm box of half-width `cutoff` (default max(3 sqrt(lambda0), 8));
+    boxes of more than MAX_BOX_POINTS points or MAX_RESOLVENT_ENTRIES
+    points x modes raise ResourceLimitError before they are built.
+    Branches whose first-order corrections collide within the default
+    gap tolerance are rejected: the formula needs distinct first-order
     values.  `tail_estimate` is a rough upper bound on the discarded
     mass; it is meaningless for formal specs.
     """
-    basis, B, C, denom, cutoff = _resolvent_data(spec, lambda0, n, branches, cutoff)
+    basis = eigenspace(lambda0, n)
+    B = np.asarray(branches, dtype=float)
+    if B.ndim == 1:
+        B = B[:, None]
+    if cutoff is None:
+        cutoff = default_resolvent_cutoff(lambda0)
+    C, denom = _resolvent_pass(spec, basis, B, cutoff)
     matrix = assemble_first_order(spec, basis)
-    if gap_tolerance is None:
-        gap_tolerance = default_gap_tolerance(matrix.entries)
+    gap_tolerance = default_gap_tolerance(matrix.entries)
     mu = np.einsum("vi,vw,wi->i", B, matrix.entries, B)
     resid = np.abs(matrix.entries @ B - B * mu).max()
     if resid > 1e-8 * max(1.0, np.abs(matrix.entries).max()):
@@ -323,17 +339,27 @@ def eigenvector_correction_coefficients(
     in the first-order correction of branch i: the inter-branch
     coupling through the out-of-eigenspace resolvent divided by the
     first-order gap, and an exactly zero diagonal (normalization).
-    Requires a fully split report.
+    The basis, branch vectors and corrections are the report's own, so
+    the report must be fully split and computed for this `spec`,
+    `lambda0` and `n` (ValueError otherwise).  The box is the one
+    `second_order_corrections` sums over, with the same size limits.
     """
+    if n != spec.n:
+        raise ValueError(f"dimension argument {n} != potential dimension {spec.n}")
+    if (report.lambda0, report.n, report.matrix.spec) != (lambda0, n, spec):
+        raise ValueError(
+            f"report is for lambda0={report.lambda0}, n={report.n} and "
+            f"{report.matrix.spec}, not lambda0={lambda0}, n={n} and {spec}"
+        )
     if report.verdict != FULLY_SPLIT:
         worst = max(report.clusters, key=len)
         raise DegenerateBranchError(
             f"corrections are not fully split (verdict {report.verdict}; "
             f"cluster {worst} collides); branch mixing is undefined"
         )
-    basis, B, C, denom, cutoff = _resolvent_data(
-        spec, lambda0, n, report.eigenvectors, cutoff
-    )
+    if cutoff is None:
+        cutoff = default_resolvent_cutoff(lambda0)
+    C, denom = _resolvent_pass(spec, report.matrix.basis, report.eigenvectors, cutoff)
     mu = report.corrections
     coupling = C.T @ (C / denom[:, None])
     gaps = mu[:, None] - mu[None, :]

@@ -263,6 +263,33 @@ def test_split_refused_size_exits_six(capsys):
     assert err.startswith("error: ") and "14144 modes" in err
 
 
+def test_split_refuses_oversized_eigenspace_before_listing(capsys):
+    # r_8(100) = 17893136: refused from the count, before any vector is listed.
+    t0 = time.monotonic()
+    code, out, err = run(
+        capsys, "split", "--lambda", "100", "--n", "8",
+        "--alpha", "1,1,1,1,1,1,1,1",
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error: ") and "17893136 modes" in err
+
+
+def test_oracle_first_refused_size_exits_six(capsys):
+    # (2 * 4096 + 1) = 8193 modes is the first T^1 box above MAX_BASIS_SIZE;
+    # cutoff 4094 reaches it in the cutoff + 2 rerun and is refused up front.
+    t0 = time.monotonic()
+    code, out, err = run(
+        capsys, "oracle", "--lambda", "1", "--n", "1", "--alpha", "1",
+        "--eps", "1e-3", "--cutoff", "4094",
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error: ") and "8193 modes" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["split", "--lambda", "1", "--n", "1", "--alpha", "1"],

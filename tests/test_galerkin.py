@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from toruspert import (
     fourier_coefficient,
     validate_first_order,
 )
+from toruspert import galerkin
 
 CIRCLE = PotentialSpec(n=1, alpha=(1.0,))
 
@@ -207,3 +209,20 @@ def test_operator_is_bit_identical_to_longhand_exponents(alpha, cutoff):
         expected = _galerkin_matrix_longhand(spec, 3e-3, op.basis)
         assert op.matrix.dtype == expected.dtype
         assert op.matrix.tobytes() == expected.tobytes()
+
+
+def test_first_refused_truncation_size():
+    # MAX_BASIS_SIZE = 8192: on T^1 the cutoff-4096 box (8193 modes) is
+    # the first one refused, and the oracle refuses a cutoff whose
+    # cutoff + 2 rerun would exceed it before computing anything.
+    assert galerkin.MAX_BASIS_SIZE == 8192
+    t0 = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="8193 modes") as info:
+        assemble_galerkin(CIRCLE, 1, 1e-3, 4096)
+    assert "limit 8192" in str(info.value)
+    with pytest.raises(ResourceLimitError, match="8193 modes"):
+        validate_first_order(CIRCLE, 1, 1, [1e-3], 4094)
+    assert time.monotonic() - t0 < 1.0
+    # the largest benchmark box (T^3 cutoff 3, rerun at 5) stays admitted
+    assert galerkin._check_truncation(3, 5) == 1331
+    assert galerkin._check_truncation(1, 4095) == 8191

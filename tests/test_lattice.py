@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import itertools
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruspert import (
     EmptyEigenspaceError,
+    ResourceLimitError,
     eigenspace,
     lattice_box,
     multiplicity,
@@ -16,6 +19,8 @@ from toruspert import (
     spectrum_up_to,
     squared_norm,
 )
+
+from toruspert.lattice import MAX_EIGENSPACE_MODES, box_points
 
 from _oracles import box_multiplicities, sphere_points
 
@@ -234,3 +239,39 @@ def test_counter_memo_is_released_after_each_call(lam, n, expected):
     finally:
         tracemalloc.stop()
     assert after - before < 256 * 1024
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_box_points_match_product_order(n, radius):
+    expected = list(itertools.product(range(-radius, radius + 1), repeat=n))
+    P = box_points(n, radius)
+    assert P.dtype == np.int64
+    assert P.shape == (len(expected), n)
+    assert [tuple(row) for row in P.tolist()] == expected
+    box = lattice_box(n, radius)
+    assert box == expected
+    assert all(type(c) is int for k in box for c in k)
+
+
+def test_box_points_argument_validation():
+    with pytest.raises(ValueError):
+        box_points(2, -1)
+    with pytest.raises(ValueError):
+        box_points(2, 1.5)
+    with pytest.raises(ValueError):
+        box_points(9, 1)
+
+
+def test_oversized_eigenspace_refused_before_listing():
+    # r_8(100) = 17893136 vectors, about 3.6 GB of tuples and a minute of
+    # listing; the count comes from the canonical representations alone.
+    assert multiplicity(100, 8) == 17893136 > MAX_EIGENSPACE_MODES
+    t0 = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="17893136 modes") as info:
+        eigenspace(100, 8)
+    assert time.monotonic() - t0 < 1.0
+    assert f"limit {MAX_EIGENSPACE_MODES}" in str(info.value)
+    assert " GB" in str(info.value)
+    # the largest eigenspace the tests list stays admitted
+    assert eigenspace(30, 6).multiplicity == 14144 <= MAX_EIGENSPACE_MODES

@@ -373,8 +373,8 @@ def test_branch_mixing_is_bit_identical_to_pair_loop(lam, alpha):
         spec = PotentialSpec(n=n, alpha=alpha, subtract_constant=subtract_constant)
         rep = first_order_corrections(spec, lam, n)
         beta = eigenvector_correction_coefficients(spec, lam, n, rep)
-        _, _, C, denom, _ = perturbation._resolvent_data(
-            spec, lam, n, rep.eigenvectors, None
+        C, denom = perturbation._resolvent_pass(
+            spec, rep.matrix.basis, rep.eigenvectors, default_resolvent_cutoff(lam)
         )
         expected = _branch_mixing_loop(C.T @ (C / denom[:, None]), rep.corrections)
         assert beta.tobytes() == expected.tobytes()
@@ -392,3 +392,39 @@ def test_oversized_eigenspace_refused_before_assembly():
     with pytest.raises(ResourceLimitError, match="limit 4096"):
         first_order_corrections(spec, 30, 6)
     assert time.monotonic() - t0 < 1.0
+
+
+def test_branch_mixing_rejects_a_report_for_other_arguments():
+    rep = first_order_corrections(TORUS2, 1, 2)
+    # lambda0 = 2 on T^2 also has 4 modes, so the shapes alone agree
+    with pytest.raises(ValueError, match="report is for lambda0=1"):
+        eigenvector_correction_coefficients(TORUS2, 2, 2, rep, cutoff=4)
+    other = PotentialSpec(n=2, alpha=(1.5, 2.0))
+    with pytest.raises(ValueError, match="report is for"):
+        eigenvector_correction_coefficients(other, 1, 2, rep, cutoff=4)
+    keep = PotentialSpec(n=2, alpha=(1.0, 2.0), subtract_constant=False)
+    with pytest.raises(ValueError, match="report is for"):
+        eigenvector_correction_coefficients(keep, 1, 2, rep, cutoff=4)
+    torus3 = PotentialSpec(n=3, alpha=(1.0, 2.0, 1.5))
+    with pytest.raises(ValueError, match="n=2"):
+        eigenvector_correction_coefficients(torus3, 1, 3, rep, cutoff=4)
+
+
+def test_resolvent_entries_capped_before_allocation():
+    # T^4 lambda0 = 21: m = 256 on the default 29^4 = 707281-point box is
+    # 181M entries, about 5.8 GB at the pass's 32 bytes per entry.
+    spec = PotentialSpec(n=4, alpha=(1.1, 0.9, 1.3, 0.95))
+    rep = first_order_corrections(spec, 21, 4)
+    assert rep.verdict == "fully_split" and rep.multiplicity == 256
+    t0 = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="181063936 entries"):
+        second_order_corrections(spec, 21, 4, rep.eigenvectors)
+    with pytest.raises(ResourceLimitError, match="181063936 entries"):
+        eigenvector_correction_coefficients(spec, 21, 4, rep)
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_resolvent_limit_admits_the_benchmark_sizes():
+    # box x m up to 16M entries is what the second-order benchmark items use
+    assert perturbation.MAX_RESOLVENT_ENTRIES >= 16_000_000
+    assert perturbation.MAX_MULTIPLICITY == 4096
