@@ -213,11 +213,8 @@ def cmd_oracle(args) -> int:
     spec = _spec_from(opts, n)
     eps = opts.require("eps", _parse_eps)
     cutoff = int(opts.require("cutoff", int))
-    gap_tol = opts.get("gap_tol", None, float)
     validation = galerkin.validate_first_order(
-        spec, lambda0, n, eps, cutoff,
-        check_cutoff=not args.no_cutoff_check,
-        gap_tolerance=gap_tol,
+        spec, lambda0, n, eps, cutoff, check_cutoff=not args.no_cutoff_check
     )
     if args.plot_data:
         _emit(reports.fan_csv(validation.fan_rows()), args.plot_data)
@@ -391,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_parse_eps,
                    help="comma-separated couplings, strictly descending")
     p.add_argument("--cutoff", type=int, help="truncation box half-width")
-    p.add_argument("--gap-tol", dest="gap_tol", type=float)
     p.add_argument("--no-cutoff-check", action="store_true",
                    help="skip the cutoff+2 robustness rerun")
     p.add_argument("--plot-data", dest="plot_data",

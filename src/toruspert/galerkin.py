@@ -6,7 +6,9 @@ here reuses the perturbation formulas: the matrix is built straight
 from the potential coefficients, so the eigenvalue cluster that grows
 out of a degenerate eigenvalue gives an external reference for the
 first-order corrections, their Richardson error trend in eps, and the
-insensitivity to the cutoff.
+insensitivity to the cutoff.  Each box's potential matrix V is built
+once and serves every coupling on it (`_box_clusters`): the main box
+takes all couplings, the cutoff + 2 box the largest one.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .lattice import LatticeVector, box_points
 from .potential import PotentialSpec, coefficient_exponents
 
 # Largest truncation basis.  An oracle run peaks at about 51-59 bytes
-# per matrix entry (the operator, the previous coupling's operator, the
+# per matrix entry (the potential matrix, one coupling's operator, the
 # exponent kernel's scratch and the eigensolve's work arrays; measured
 # at N = 729-2197), rounded up to 64: 8192 modes fill the budget.
 _BYTES_PER_ENTRY = 64
@@ -61,17 +63,27 @@ def assemble_galerkin(
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must satisfy 0 <= eps < 1, got {epsilon}")
     size = _check_truncation(n, cutoff)
-    P = box_points(n, cutoff)
-    sq = (P * P).sum(axis=1).astype(float)
-    H = np.exp(-coefficient_exponents(spec, P, P))
-    if spec.subtract_constant:
-        np.fill_diagonal(H, 0.0)
+    P, sq, H = _box_potential(spec, n, cutoff)
     H *= epsilon
     H[np.diag_indices(size)] += sq
     return GalerkinOperator(
         spec=spec, n=n, epsilon=epsilon, cutoff=cutoff,
         basis=tuple(map(tuple, P.tolist())), matrix=H,
     )
+
+
+def _box_potential(spec: PotentialSpec, n: int, cutoff: int):
+    """(points, |k|^2, V) on the box of half-width `cutoff`.
+
+    V[m, m'] = c(m - m'), with the constant convention on the diagonal,
+    does not depend on eps, so one box serves every coupling.
+    """
+    P = box_points(n, cutoff)
+    sq = (P * P).sum(axis=1)
+    V = np.exp(-coefficient_exponents(spec, P, P))
+    if spec.subtract_constant:
+        np.fill_diagonal(V, 0.0)
+    return P, sq, V
 
 
 def _check_truncation(n: int, cutoff: int) -> int:
@@ -86,6 +98,11 @@ def _check_truncation(n: int, cutoff: int) -> int:
     return size
 
 
+def _nearest(w: np.ndarray, lambda0: int, count: int) -> np.ndarray:
+    """Indices of the `count` values of w nearest lambda0; ties go to the smaller."""
+    return np.lexsort((w, np.abs(w - float(lambda0))))[:count]
+
+
 def eigen_near(op: GalerkinOperator, lambda0: int, count: int) -> np.ndarray:
     """The `count` eigenvalues closest to lambda0, ascending.
 
@@ -94,8 +111,7 @@ def eigen_near(op: GalerkinOperator, lambda0: int, count: int) -> np.ndarray:
     if not 1 <= count <= op.size:
         raise ValueError(f"count must be in [1, {op.size}], got {count}")
     w, _ = symmetric_eigen(op.matrix)
-    order = np.lexsort((w, np.abs(w - float(lambda0))))
-    return np.sort(w[order[:count]])
+    return np.sort(w[_nearest(w, lambda0, count)])
 
 
 @dataclass(frozen=True)
@@ -182,12 +198,14 @@ class GalerkinValidation:
         }
 
 
-def _cluster_near(op: GalerkinOperator, lambda0: int, m: int) -> np.ndarray:
-    """Locate the m-fold cluster near lambda0, or fail loudly.
+def _box_clusters(spec, n, cutoff, epsilons, lambda0, m) -> list[np.ndarray]:
+    """The m-fold cluster near lambda0 for each coupling on one box, or fail loudly.
 
-    The m eigenvalues nearest lambda0 must be separated from every
-    other eigenvalue by at least half the unperturbed spectral gap
-    around lambda0 within the box.
+    The box's potential matrix V is built once; each coupling's operator
+    is eps V + diag(|k|^2), and the last coupling scales V in place.
+    The caller has checked the box size.  The m eigenvalues nearest
+    lambda0 must be separated from every other eigenvalue by at least
+    half the unperturbed spectral gap around lambda0 within the box.
 
     The cluster values are refined by Rayleigh-Ritz on their own
     eigenvectors.  A full eigensolve is accurate only to about
@@ -196,36 +214,35 @@ def _cluster_near(op: GalerkinOperator, lambda0: int, m: int) -> np.ndarray:
     the projected m x m matrix carries errors on the scale of lambda0
     instead, and the small eigensolve keeps that accuracy.
     """
-    P = box_points(op.n, op.cutoff)
-    sq = (P * P).sum(axis=1)
+    _, sq, V = _box_potential(spec, n, cutoff)
     if int((sq == lambda0).sum()) != m:
         raise ValueError(
-            f"cutoff {op.cutoff} does not contain the full eigenspace of {lambda0}"
+            f"cutoff {cutoff} does not contain the full eigenspace of {lambda0}"
         )
     levels = np.unique(sq)
     pos = int(np.searchsorted(levels, lambda0))
-    gaps = []
-    if pos > 0:
-        gaps.append(float(lambda0 - levels[pos - 1]))
-    if pos + 1 < len(levels):
-        gaps.append(float(levels[pos + 1] - lambda0))
-    half_gap = min(gaps) / 2.0
+    half_gap = float(np.diff(levels[max(pos - 1, 0):pos + 2]).min()) / 2.0
 
-    w, Q = symmetric_eigen(op.matrix)
-    order = np.lexsort((w, np.abs(w - float(lambda0))))
-    near = np.sort(order[:m])
-    Qc = Q[:, near]
-    G = Qc.T @ (op.matrix @ Qc)
-    inside, _ = symmetric_eigen((G + G.T) / 2.0)
-    outside = np.delete(w, near)
-    if outside.size:
-        separation = float(np.abs(outside[:, None] - inside[None, :]).min())
-        if separation < half_gap:
-            raise CouplingTooLargeError(
-                f"cluster at lambda0={lambda0} is not isolated at eps={op.epsilon}: "
-                f"separation {separation:.6e} < half unperturbed gap {half_gap:.6e}"
-            )
-    return inside
+    diag = np.diag_indices(len(sq))
+    clusters = []
+    for j, eps in enumerate(epsilons):
+        H = V * eps if j + 1 < len(epsilons) else np.multiply(V, eps, out=V)
+        H[diag] += sq
+        w, Q = symmetric_eigen(H)
+        near = np.sort(_nearest(w, lambda0, m))
+        Qc = Q[:, near]
+        G = Qc.T @ (H @ Qc)
+        inside, _ = symmetric_eigen((G + G.T) / 2.0)
+        outside = np.delete(w, near)
+        if outside.size:
+            separation = float(np.abs(outside[:, None] - inside[None, :]).min())
+            if separation < half_gap:
+                raise CouplingTooLargeError(
+                    f"cluster at lambda0={lambda0} is not isolated at eps={eps}: "
+                    f"separation {separation:.6e} < half unperturbed gap {half_gap:.6e}"
+                )
+        clusters.append(inside)
+    return clusters
 
 
 def validate_first_order(
@@ -235,7 +252,6 @@ def validate_first_order(
     epsilons,
     cutoff: int,
     check_cutoff: bool = True,
-    gap_tolerance: float | None = None,
 ) -> GalerkinValidation:
     """Track the perturbed cluster over several couplings.
 
@@ -248,7 +264,8 @@ def validate_first_order(
     (exact degeneracy, zero error).  Unless the potential is formal, the
     largest-coupling cluster is recomputed at cutoff + 2 and must move
     by less than 1e-12.  Both box sizes are checked against
-    MAX_BASIS_SIZE before anything is computed.
+    MAX_BASIS_SIZE before anything is computed; each box's coefficient
+    kernel then runs once, whatever the number of couplings.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
@@ -262,39 +279,21 @@ def validate_first_order(
     if rerun:
         _check_truncation(spec.n, cutoff + 2)
 
-    report = perturbation.first_order_corrections(
-        spec, lambda0, n, gap_tolerance=gap_tolerance
-    )
+    report = perturbation.first_order_corrections(spec, lambda0, n)
     predicted = report.corrections
     m = report.multiplicity
 
+    clusters = _box_clusters(spec, n, cutoff, eps_list, lambda0, m)
     rows = []
-    errors = {}
-    for eps in eps_list:
-        op = assemble_galerkin(spec, n, eps, cutoff)
-        cluster = _cluster_near(op, lambda0, m)
+    for eps, cluster in zip(eps_list, clusters):
+        values = tuple(float(x) for x in cluster)
         if eps == 0.0:
-            rows.append(
-                ValidationRow(
-                    epsilon=eps,
-                    eigenvalues=tuple(float(x) for x in cluster),
-                    d=None,
-                    max_error=0.0,
-                )
-            )
-            errors[eps] = 0.0
+            rows.append(ValidationRow(eps, values, d=None, max_error=0.0))
             continue
         d = (cluster - float(lambda0)) / eps
         err = float(np.abs(d - predicted).max())
-        rows.append(
-            ValidationRow(
-                epsilon=eps,
-                eigenvalues=tuple(float(x) for x in cluster),
-                d=tuple(float(x) for x in d),
-                max_error=err,
-            )
-        )
-        errors[eps] = err
+        rows.append(ValidationRow(eps, values, tuple(float(x) for x in d), err))
+    errors = {row.epsilon: row.max_error for row in rows}
 
     trend = []
     for hi, lo in zip(eps_list, eps_list[1:]):
@@ -316,13 +315,8 @@ def validate_first_order(
             "limit; cluster values depend on the cutoff and its check is skipped"
         )
     elif rerun:
-        eps_ref = max(e for e in eps_list)
-        ref_row = next(r for r in rows if r.epsilon == eps_ref)
-        op2 = assemble_galerkin(spec, n, eps_ref, cutoff + 2)
-        cluster2 = _cluster_near(op2, lambda0, m)
-        cutoff_shift = float(
-            np.abs(np.asarray(ref_row.eigenvalues) - cluster2).max()
-        )
+        (cluster2,) = _box_clusters(spec, n, cutoff + 2, eps_list[:1], lambda0, m)
+        cutoff_shift = float(np.abs(clusters[0] - cluster2).max())
         cutoff_converged = cutoff_shift < 1e-12
 
     passed = all(t.ok for t in trend) and cutoff_converged is not False

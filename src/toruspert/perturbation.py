@@ -209,14 +209,12 @@ def default_resolvent_cutoff(lambda0: int) -> int:
     return max(math.ceil(3.0 * math.sqrt(lambda0)), 8)
 
 
-def _resolvent_pass(spec, basis, B, cutoff):
-    """One pass over the resolvent box: returns (C, denom).
+def _check_pass(basis, B, cutoff):
+    """The checks a resolvent pass needs, none of which allocates the box.
 
-    C[p, i] = sum_v B[v, i] c(p - k_v) for every box point p with
-    |p|^2 != lambda0 (ascending lex order) and denom[p] = lambda0 - |p|^2.
-    Checks the branch matrix (one row per basis vector, orthonormal
-    columns), the cutoff (an integer of at least sqrt(lambda0) + 1) and
-    the box size, the last before anything box-sized is allocated.
+    The branch matrix has one row per basis vector and orthonormal
+    columns, the cutoff is an integer of at least sqrt(lambda0) + 1,
+    and the box fits MAX_BOX_POINTS and MAX_RESOLVENT_ENTRIES.
     """
     lambda0, n, m = basis.lambda0, basis.n, basis.multiplicity
     if B.ndim != 2 or B.shape[0] != m:
@@ -241,7 +239,16 @@ def _resolvent_pass(spec, basis, B, cutoff):
         "entries", MAX_RESOLVENT_ENTRIES, peak,
     )
 
-    points = box_points(n, cutoff)
+
+def _resolvent_pass(spec, basis, B, cutoff):
+    """One pass over the resolvent box: returns (C, denom).
+
+    C[p, i] = sum_v B[v, i] c(p - k_v) for every box point p with
+    |p|^2 != lambda0 (ascending lex order) and denom[p] = lambda0 - |p|^2.
+    The caller has run `_check_pass` on the same arguments.
+    """
+    lambda0 = basis.lambda0
+    points = box_points(basis.n, cutoff)
     sq = (points * points).sum(axis=1)
     outside = sq != lambda0
     points = points[outside]
@@ -288,8 +295,9 @@ def second_order_corrections(
     sup-norm box of half-width `cutoff` (default max(3 sqrt(lambda0), 8));
     boxes of more than MAX_BOX_POINTS points or MAX_RESOLVENT_ENTRIES
     points x modes raise ResourceLimitError before they are built.
-    Branches whose first-order corrections collide within the default
-    gap tolerance are rejected: the formula needs distinct first-order
+    Branches that are not secular eigenvectors, or whose first-order
+    corrections collide within the default gap tolerance, are rejected
+    before the box is built: the formula needs distinct first-order
     values.  `tail_estimate` is a rough upper bound on the discarded
     mass; it is meaningless for formal specs.
     """
@@ -299,7 +307,7 @@ def second_order_corrections(
         B = B[:, None]
     if cutoff is None:
         cutoff = default_resolvent_cutoff(lambda0)
-    C, denom = _resolvent_pass(spec, basis, B, cutoff)
+    _check_pass(basis, B, cutoff)
     matrix = assemble_first_order(spec, basis)
     gap_tolerance = default_gap_tolerance(matrix.entries)
     mu = np.einsum("vi,vw,wi->i", B, matrix.entries, B)
@@ -316,6 +324,7 @@ def second_order_corrections(
                 f"branches {int(a)} and {int(b)} have first-order corrections "
                 f"{mu[a]!r} and {mu[b]!r} within tolerance {gap_tolerance!r}"
             )
+    C, denom = _resolvent_pass(spec, basis, B, cutoff)
     values = ((C * C) / denom[:, None]).sum(axis=0)
     return SecondOrderCorrections(
         lambda0=lambda0,
@@ -359,6 +368,7 @@ def eigenvector_correction_coefficients(
         )
     if cutoff is None:
         cutoff = default_resolvent_cutoff(lambda0)
+    _check_pass(report.matrix.basis, report.eigenvectors, cutoff)
     C, denom = _resolvent_pass(spec, report.matrix.basis, report.eigenvectors, cutoff)
     mu = report.corrections
     coupling = C.T @ (C / denom[:, None])

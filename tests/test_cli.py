@@ -303,6 +303,15 @@ def test_truncation_flag_is_rejected(argv):
     assert exc.value.code == 2
 
 
+def test_oracle_has_no_gap_tolerance_flag():
+    # The oracle reads only the corrections and the multiplicity of its
+    # first-order report, so a clustering tolerance would change nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--lambda", "5", "--n", "2", "--alpha", "1,1.3",
+              "--eps", "1e-2,1e-3", "--cutoff", "8", "--json", "--gap-tol", "1e-3"])
+    assert exc.value.code == 2
+
+
 def test_oracle_lapack_nonconvergence_reproducer():
     # With one BLAS thread, LAPACK's eigh does not converge on the lower
     # triangle of one of these Galerkin matrices; the upper-triangle retry

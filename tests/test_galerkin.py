@@ -226,3 +226,100 @@ def test_first_refused_truncation_size():
     # the largest benchmark box (T^3 cutoff 3, rerun at 5) stays admitted
     assert galerkin._check_truncation(3, 5) == 1331
     assert galerkin._check_truncation(1, 4095) == 8191
+
+
+def _cluster_near_longhand(op, lambda0, m):
+    """Reference cluster search on one coupling's operator, built per call."""
+    P = galerkin.box_points(op.n, op.cutoff)
+    sq = (P * P).sum(axis=1)
+    assert int((sq == lambda0).sum()) == m
+    levels = np.unique(sq)
+    pos = int(np.searchsorted(levels, lambda0))
+    gaps = []
+    if pos > 0:
+        gaps.append(float(lambda0 - levels[pos - 1]))
+    if pos + 1 < len(levels):
+        gaps.append(float(levels[pos + 1] - lambda0))
+    half_gap = min(gaps) / 2.0
+
+    w, Q = galerkin.symmetric_eigen(op.matrix)
+    order = np.lexsort((w, np.abs(w - float(lambda0))))
+    near = np.sort(order[:m])
+    Qc = Q[:, near]
+    G = Qc.T @ (op.matrix @ Qc)
+    inside, _ = galerkin.symmetric_eigen((G + G.T) / 2.0)
+    outside = np.delete(w, near)
+    if outside.size:
+        assert np.abs(outside[:, None] - inside[None, :]).min() >= half_gap
+    return inside
+
+
+def _validation_longhand(spec, lambda0, n, epsilons, cutoff, check_cutoff):
+    """Reference rows and cutoff shift: one `assemble_galerkin` per coupling."""
+    predicted = first_order_corrections(spec, lambda0, n).corrections
+    m = len(predicted)
+    rows = []
+    for eps in epsilons:
+        op = assemble_galerkin(spec, n, eps, cutoff)
+        cluster = _cluster_near_longhand(op, lambda0, m)
+        if eps == 0.0:
+            rows.append((eps, cluster, None, 0.0))
+            continue
+        d = (cluster - float(lambda0)) / eps
+        rows.append((eps, cluster, d, float(np.abs(d - predicted).max())))
+    shift = None
+    if check_cutoff and not spec.is_formal:
+        op2 = assemble_galerkin(spec, n, max(epsilons), cutoff + 2)
+        cluster2 = _cluster_near_longhand(op2, lambda0, m)
+        shift = float(np.abs(rows[0][1] - cluster2).max())
+    return rows, shift
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n,alpha,lambda0,eps,cutoff,check_cutoff",
+    [
+        (1, (1.3846692728648238,), 1, [1e-2, 1e-3, 1e-4], 8, True),
+        (1, (1.0,), 4, [1e-3, 0.0], 8, True),
+        (2, (1.0, 1.3), 5, [1e-2, 1e-3], 8, True),
+        (2, (1.0, 0.0), 1, [1e-3, 1e-4], 7, True),
+        (3, (0.97, 1.41, 1.83), 2, [1e-2, 1e-3], 1, True),
+        (3, (0.97, 1.41, 1.83), 3, [1e-2, 1e-3, 1e-4], 3, False),
+    ],
+)
+def test_shared_box_matches_per_coupling_path(n, alpha, lambda0, eps, cutoff, check_cutoff):
+    for subtract_constant in (True, False):
+        spec = PotentialSpec(n=n, alpha=alpha, subtract_constant=subtract_constant)
+        val = validate_first_order(spec, lambda0, n, eps, cutoff, check_cutoff=check_cutoff)
+        rows, shift = _validation_longhand(spec, lambda0, n, eps, cutoff, check_cutoff)
+        assert len(val.rows) == len(rows)
+        for row, (e, cluster, d, err) in zip(val.rows, rows):
+            assert row.epsilon == e
+            assert _bits(row.eigenvalues) == _bits(cluster)
+            assert (row.d is None) == (d is None)
+            if d is not None:
+                assert _bits(row.d) == _bits(d)
+            assert _bits(row.max_error) == _bits(err)
+        assert (val.cutoff_shift is None) == (shift is None)
+        if shift is not None:
+            assert _bits(val.cutoff_shift) == _bits(shift)
+
+
+def test_coefficient_kernel_runs_once_per_box(monkeypatch):
+    calls = []
+    kernel = galerkin.coefficient_exponents
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(galerkin, "coefficient_exponents", counted)
+    spec = PotentialSpec(n=2, alpha=(1.0, 1.3))
+    validate_first_order(spec, 5, 2, [1e-2, 1e-3, 1e-4], cutoff=8)
+    assert calls == [17 * 17, 21 * 21]
+    calls.clear()
+    validate_first_order(spec, 5, 2, [1e-2, 1e-3, 1e-4], cutoff=8, check_cutoff=False)
+    assert calls == [17 * 17]

@@ -428,3 +428,19 @@ def test_resolvent_limit_admits_the_benchmark_sizes():
     # box x m up to 16M entries is what the second-order benchmark items use
     assert perturbation.MAX_RESOLVENT_ENTRIES >= 16_000_000
     assert perturbation.MAX_MULTIPLICITY == 4096
+
+
+def test_secular_checks_run_before_the_box(monkeypatch):
+    def no_box(*args):
+        raise AssertionError("resolvent box built before the secular checks")
+
+    monkeypatch.setattr(perturbation, "_resolvent_pass", no_box)
+    spec = PotentialSpec(n=4, alpha=(1.0, 1.0, 1.0, 1.0))
+    rep = first_order_corrections(spec, 3, 4)
+    assert rep.verdict == perturbation.PARTIALLY_SPLIT
+    t0 = time.monotonic()
+    with pytest.raises(DegenerateBranchError):
+        second_order_corrections(spec, 3, 4, rep.eigenvectors)
+    with pytest.raises(ValueError, match="not secular-matrix eigenvectors"):
+        second_order_corrections(TORUS2, 5, 2, np.eye(8)[:, :2])
+    assert time.monotonic() - t0 < 1.0
