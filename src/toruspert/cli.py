@@ -6,6 +6,12 @@ truncation-based validation oracle (oracle), and the bundled reference
 matrices (paper-repro).  Machine formats (JSON with a `schema` field,
 CSV) are byte-deterministic for identical invocations.
 
+argparse is the only option model.  `--config FILE` reads `key = value`
+lines; each line means the flag `--key=value` of the same subcommand
+(`gap_tol` for `--gap-tol`), placed before the command-line flags, so
+those win.  A key that is not a flag taking a value exits 2 naming its
+file and line.
+
 Exit codes: 0 success (for `split`: fully split), 2 usage or argument
 error, 3 `split` ran but the eigenvalue did not fully split, 4 the
 oracle could not isolate the perturbed cluster (coupling too large),
@@ -32,29 +38,30 @@ EXIT_EIGENSOLVER = 5
 EXIT_RESOURCE = 6
 
 
-def _parse_alpha(text: str) -> tuple[float, ...]:
-    try:
+def _floats(noun: str):
+    """argparse `type=` for a comma-separated list of floats (the `noun` list)."""
+    def parse(text: str) -> tuple[float, ...]:
         values = tuple(float(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise ValueError(f"could not parse alpha list {text!r}") from None
-    if not values:
-        raise ValueError("alpha list is empty")
-    return values
+        if not values:
+            raise ValueError(f"{noun} list is empty")
+        return values
+    parse.__name__ = noun  # argparse names it in "invalid alpha value"
+    return parse
 
 
-def _parse_eps(text: str) -> list[float]:
-    try:
-        values = [float(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError:
-        raise ValueError(f"could not parse epsilon list {text!r}") from None
-    if not values:
-        raise ValueError("epsilon list is empty")
-    return values
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` flags.
 
-
-def _read_config(path: str) -> dict[str, str]:
-    """Flat key-value file: `key = value` lines, `#` comments."""
-    cfg = {}
+    A key names a flag of `parser` that takes a value (`lambda` for
+    `--lambda`, `gap_tol` for `--gap-tol`); `#` starts a comment.  Any
+    other key, including on/off flags and `config`, is a usage error
+    that names its line.  One `--key=value` token per line keeps a value
+    that starts with `-` from being read as a flag.
+    """
+    # argparse lists a parser's options only in its `_actions`.
+    keys = {s for a in parser._actions if a.nargs != 0 for s in a.option_strings}
+    keys.discard("--config")
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -62,38 +69,20 @@ def _read_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
+            key, value = (part.strip() for part in line.split("=", 1))
+            flag = "--" + key.replace("_", "-")
+            if flag not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            flags.append(f"{flag}={value}")
+    return flags
 
 
-# argparse dest -> config-file key / flag name
-_FLAG_NAMES = {"lambda0": "lambda"}
-
-
-class _Options:
-    """Merge of command-line flags over config-file values over defaults."""
-
-    def __init__(self, args):
-        self.args = args
-        self.cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, name, default=None, parse=None):
-        value = getattr(self.args, name, None)
-        key = _FLAG_NAMES.get(name, name)
-        if value is None and key in self.cfg:
-            raw = self.cfg[key]
-            value = parse(raw) if parse else raw
-        if value is None:
-            value = default
-        return value
-
-    def require(self, name, parse=None):
-        value = self.get(name, None, parse)
-        if value is None:
-            flag = _FLAG_NAMES.get(name, name).replace("_", "-")
+def _require(args, *dests: str) -> None:
+    """Usage error for the first of `dests` that neither flags nor config set."""
+    for dest in dests:
+        if getattr(args, dest) is None:
+            flag = "lambda" if dest == "lambda0" else dest
             raise ValueError(f"missing required option --{flag}")
-        return value
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -104,18 +93,15 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _spec_from(opts: _Options, n: int) -> PotentialSpec:
-    alpha = opts.require("alpha", _parse_alpha)
-    diag = opts.get("diag", "zero")
-    if diag not in ("zero", "one"):
-        raise ValueError(f"--diag must be 'zero' or 'one', got {diag!r}")
-    return PotentialSpec(n=n, alpha=alpha, subtract_constant=(diag == "zero"))
+def _spec_from(args) -> PotentialSpec:
+    return PotentialSpec(
+        n=args.n, alpha=args.alpha, subtract_constant=(args.diag == "zero")
+    )
 
 
 def cmd_multiplicity(args) -> int:
-    opts = _Options(args)
-    lambda0 = int(opts.require("lambda0", int))
-    n = int(opts.require("n", int))
+    _require(args, "lambda0", "n")
+    lambda0, n = args.lambda0, args.n
     m = lattice.multiplicity(lambda0, n)
     if args.json:
         payload = {
@@ -133,9 +119,8 @@ def cmd_multiplicity(args) -> int:
 
 
 def cmd_representations(args) -> int:
-    opts = _Options(args)
-    lambda0 = int(opts.require("lambda0", int))
-    n = int(opts.require("n", int))
+    _require(args, "lambda0", "n")
+    lambda0, n = args.lambda0, args.n
     reps = lattice.representations(lambda0, n)
     if args.json:
         payload = {
@@ -154,9 +139,8 @@ def cmd_representations(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    opts = _Options(args)
-    lambda_max = int(opts.require("max", int))
-    n = int(opts.require("n", int))
+    _require(args, "max", "n")
+    lambda_max, n = args.max, args.n
     rows = lattice.spectrum_up_to(lambda_max, n)
     if args.json:
         payload = {
@@ -173,24 +157,20 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_split(args) -> int:
-    opts = _Options(args)
-    lambda0 = int(opts.require("lambda0", int))
-    n = int(opts.require("n", int))
-    spec = _spec_from(opts, n)
-    gap_tol = opts.get("gap_tol", None, float)
+    _require(args, "lambda0", "n", "alpha")
+    lambda0, n = args.lambda0, args.n
+    spec = _spec_from(args)
     report = perturbation.first_order_corrections(
-        spec, lambda0, n, gap_tolerance=gap_tol
+        spec, lambda0, n, gap_tolerance=args.gap_tol
     )
-    fmt = opts.get("format", "pretty")
-    if fmt == "json":
+    if args.format == "json":
         _emit(reports.json_text(report.to_dict()), args.output)
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit(reports.corrections_csv(report.corrections), args.output)
-    elif fmt == "pretty":
+    else:
         lines = [
             f"lambda0={lambda0} n={n} multiplicity={report.multiplicity} "
-            f"alpha={','.join(f'{a:g}' for a in spec.alpha)} "
-            f"diag={'zero' if spec.subtract_constant else 'one'}",
+            f"alpha={','.join(f'{a:g}' for a in spec.alpha)} diag={args.diag}",
             "corrections: " + " ".join(f"{c:.6g}" for c in report.corrections),
             f"min_gap: {report.min_gap:.6g}" if np.isfinite(report.min_gap)
             else "min_gap: n/a (multiplicity 1)",
@@ -199,22 +179,17 @@ def cmd_split(args) -> int:
             f"verdict: {report.verdict}",
         ]
         _emit("\n".join(lines) + "\n", args.output)
-    else:
-        raise ValueError(f"unknown format {fmt!r} (pretty, json, csv)")
     if args.matrix_csv:
         _emit(reports.matrix_csv(report.matrix.entries), args.matrix_csv)
     return EXIT_OK if report.verdict == perturbation.FULLY_SPLIT else EXIT_NOT_SPLIT
 
 
 def cmd_oracle(args) -> int:
-    opts = _Options(args)
-    lambda0 = int(opts.require("lambda0", int))
-    n = int(opts.require("n", int))
-    spec = _spec_from(opts, n)
-    eps = opts.require("eps", _parse_eps)
-    cutoff = int(opts.require("cutoff", int))
+    _require(args, "lambda0", "n", "alpha", "eps", "cutoff")
+    lambda0, n, cutoff = args.lambda0, args.n, args.cutoff
     validation = galerkin.validate_first_order(
-        spec, lambda0, n, eps, cutoff, check_cutoff=not args.no_cutoff_check
+        _spec_from(args), lambda0, n, args.eps, cutoff,
+        check_cutoff=not args.no_cutoff_check,
     )
     if args.plot_data:
         _emit(reports.fan_csv(validation.fan_rows()), args.plot_data)
@@ -264,23 +239,18 @@ def _case_payload(case, mode):
         "subtract_constant": case.subtract_constant,
         "notes": list(case.notes),
     }
-    if mode == "fixture":
-        w, _ = symmetric_eigen(case.fixture)
-        payload["matrix"] = [[float(x) for x in row] for row in case.fixture]
-        payload["eigenvalues"] = [float(x) for x in w]
-        payload["printed_eigenvalues"] = list(case.printed_eigenvalues)
-    elif mode == "definition":
-        M = fixtures.definition_matrix(case)
-        w, _ = symmetric_eigen(M)
-        payload["matrix"] = [[float(x) for x in row] for row in M]
-        payload["eigenvalues"] = [float(x) for x in w]
-        payload["printed_eigenvalues"] = list(case.printed_eigenvalues)
-    else:
+    if mode == "diff":
         payload["discrepancies"] = [
             {"row": d.row, "col": d.col, "printed": d.printed,
              "definitional": d.definitional}
             for d in fixtures.diff(case)
         ]
+        return payload
+    M = case.fixture if mode == "fixture" else fixtures.definition_matrix(case)
+    w, _ = symmetric_eigen(M)
+    payload["matrix"] = [[float(x) for x in row] for row in M]
+    payload["eigenvalues"] = [float(x) for x in w]
+    payload["printed_eigenvalues"] = list(case.printed_eigenvalues)
     return payload
 
 
@@ -344,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the main output to this file")
         if config:
             p.add_argument("--config", help="flat key-value config file (flags win)")
+            p.set_defaults(parser=p)
 
     p = sub.add_parser("multiplicity", help="eigenvalue multiplicity")
     p.add_argument("--lambda", dest="lambda0", type=int, help="eigenvalue")
@@ -369,12 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="first-order splitting of one eigenvalue")
     p.add_argument("--lambda", dest="lambda0", type=int, help="degenerate eigenvalue")
     p.add_argument("--n", type=int, help="torus dimension")
-    p.add_argument("--alpha", type=_parse_alpha, help="comma-separated decay weights")
-    p.add_argument("--diag", choices=("zero", "one"),
+    p.add_argument("--alpha", type=_floats("alpha"),
+                   help="comma-separated decay weights")
+    p.add_argument("--diag", choices=("zero", "one"), default="zero",
                    help="constant-term convention (default zero)")
     p.add_argument("--gap-tol", dest="gap_tol", type=float,
                    help="cluster tolerance (default 1e-9 scaled)")
-    p.add_argument("--format", choices=("pretty", "json", "csv"))
+    p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     p.add_argument("--matrix-csv", dest="matrix_csv",
                    help="also write the secular matrix as CSV to this file")
     common(p)
@@ -383,9 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="validate first order against a truncation")
     p.add_argument("--lambda", dest="lambda0", type=int, help="degenerate eigenvalue")
     p.add_argument("--n", type=int, help="torus dimension")
-    p.add_argument("--alpha", type=_parse_alpha, help="comma-separated decay weights")
-    p.add_argument("--diag", choices=("zero", "one"))
-    p.add_argument("--eps", type=_parse_eps,
+    p.add_argument("--alpha", type=_floats("alpha"),
+                   help="comma-separated decay weights")
+    p.add_argument("--diag", choices=("zero", "one"), default="zero")
+    p.add_argument("--eps", type=_floats("epsilon"),
                    help="comma-separated couplings, strictly descending")
     p.add_argument("--cutoff", type=int, help="truncation box half-width")
     p.add_argument("--no-cutoff-check", action="store_true",
@@ -409,9 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # The file's flags go before the command line's, which win.
+            config = _config_flags(args.parser, args.config)
+            args = parser.parse_args([args.command, *config, *argv[1:]])
         return args.func(args)
     except CouplingTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -162,6 +162,85 @@ def test_missing_required_flag(capsys):
     assert "missing required option --lambda" in err
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["split"], "diagg = one"),
+     (["oracle", "--eps", "1e-2", "--cutoff", "8"], "gap_tol = 1e-3"),
+     (["oracle", "--eps", "1e-2", "--cutoff", "8"], "json = true"),
+     (["split"], "config = other.cfg")],
+    ids=["misspelt", "oracle-gap-tol", "on-off-flag", "config"],
+)
+def test_config_key_that_is_no_value_flag_exits_two(capsys, tmp_path, argv, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"lambda = 1\nn = 1\nalpha = 1\n{key}\n")
+    code, out, err = run(capsys, argv[0], "--config", str(cfg), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:4: unknown key '{key.split()[0]}'" in err
+
+
+def test_bad_config_value_exits_as_the_flag_does(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("diag = maybe\n")
+    argv = ["split", "--lambda", "1", "--n", "1", "--alpha", "1"]
+    with pytest.raises(SystemExit) as from_flag:
+        main(argv + ["--diag", "maybe"])
+    flag_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as from_config:
+        main(argv + ["--config", str(cfg)])
+    assert from_flag.value.code == from_config.value.code == 2
+    assert capsys.readouterr().err == flag_err
+    assert "invalid choice: 'maybe'" in flag_err
+
+
+def test_config_only_run_names_missing_option(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 1\nn = 1\n")
+    code, _, err = run(capsys, "split", "--config", str(cfg))
+    assert code == 2
+    assert "missing required option --alpha" in err
+
+
+# Every flag of `split` and `oracle` that takes a value; the values that
+# end in .csv or .txt name files the run writes.
+_VALUE_FLAGS = {
+    "split": {"lambda": "5", "n": "2", "alpha": "1,2", "diag": "one",
+              "gap_tol": "1e-3", "format": "csv", "matrix_csv": "m.csv",
+              "output": "main.txt"},
+    "oracle": {"lambda": "1", "n": "1", "alpha": "1.0", "diag": "one",
+               "eps": "1e-2,1e-3", "cutoff": "8", "plot_data": "fan.csv",
+               "output": "main.txt"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(c, k) for c, flags in _VALUE_FLAGS.items() for k in flags],
+)
+def test_config_key_equals_its_flag(capsys, tmp_path, command, key):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    values = {k: str(out_dir / v) if v.endswith((".csv", ".txt")) else v
+              for k, v in _VALUE_FLAGS[command].items()}
+
+    def outputs(*argv):
+        code, out, err = run(capsys, command, *argv)
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        for name in files:
+            (out_dir / name).unlink()
+        return code, out, err, files
+
+    flags = {k: f"--{k.replace('_', '-')}={v}" for k, v in values.items()}
+    from_flags = outputs(*flags.values())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {values[key]}\n")
+    from_config = outputs(
+        "--config", str(cfg), *(f for k, f in flags.items() if k != key)
+    )
+    assert from_config == from_flags
+    assert from_flags[3]["main.txt"]
+
+
 def test_empty_eigenspace_is_usage_error(capsys):
     code, _, err = run(capsys, "split", "--lambda", "7", "--n", "2", "--alpha", "1,2")
     assert code == 2
